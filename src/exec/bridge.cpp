@@ -151,62 +151,43 @@ core::ChunkPlan plan_for(const MaterializedLoop& loop, std::uint64_t chunk_bytes
                                               chunk_bytes);
 }
 
-rt::PreflightGate gate_for(const MaterializedLoop& loop, std::uint64_t chunk_bytes) {
-  analysis::AnalyzeOptions opt;
-  opt.chunk_bytes = chunk_bytes;
-  const analysis::AnalysisReport report = analysis::analyze(loop.spec(), opt);
-  if (report.restructure_eligible) return rt::PreflightGate::proven();
-  common::Diagnostic reason{common::Severity::kError, "preflight-unproven",
-                            "the analysis verifier could not prove the spec "
-                            "restructure-eligible"};
-  for (const common::Diagnostic& diag : report.diags.items()) {
-    if (diag.severity == common::Severity::kError) {
-      reason = diag;
-      break;
+namespace {
+
+/// The strict gate: the analyzer's verdict over the claims alone.
+rt::PreflightGate strict_gate(const RestructureProof& proof) {
+  return proof.eligible ? rt::PreflightGate::proven()
+                        : rt::PreflightGate::refused(proof.reason);
+}
+
+/// The certificate-aware gate for a ring of `workers`: a certificate proving
+/// the staged bytes write-free (or token-ordered at this width) overturns a
+/// strict refusal.
+rt::PreflightGate ring_gate(const RestructureProof& proof,
+                            std::uint64_t workers,
+                            std::vector<std::string>* certified) {
+  if (!proof.eligible && proof.certificate &&
+      proof.certificate->certifies_staging(workers)) {
+    if (certified != nullptr) {
+      *certified = proof.certificate->certified_operands(workers);
     }
+    return rt::PreflightGate::proven();
   }
-  return rt::PreflightGate::refused(std::move(reason));
+  return strict_gate(proof);
+}
+
+}  // namespace
+
+rt::PreflightGate gate_for(const MaterializedLoop& loop, std::uint64_t chunk_bytes) {
+  return strict_gate(
+      loop.restructure_proof(plan_for(loop, chunk_bytes).iters_per_chunk()));
 }
 
 rt::PreflightGate gate_for(const MaterializedLoop& loop,
                            std::uint64_t chunk_bytes, std::uint64_t workers,
                            std::vector<std::string>* certified) {
-  analysis::AnalyzeOptions opt;
-  opt.chunk_bytes = chunk_bytes;
-  const analysis::AnalysisReport report = analysis::analyze(loop.spec(), opt);
-  if (report.restructure_eligible) return rt::PreflightGate::proven();
-
-  // The certifier can only overturn staging-claim failures: the claims said
-  // read-only, the resolved addresses may prove the staged bytes write-free
-  // anyway.  Anything else (layout overlap, footprint escape, parse errors)
-  // is outside the certificate's scope and keeps the refusal.
-  auto staging_rule = [](const std::string& rule) {
-    return rule == "classify-write-ro" || rule == "hazard-cross-chunk" ||
-           rule == "shadow-write-ro" || rule == "shadow-hazard-cross-chunk";
-  };
-  common::Diagnostic reason{common::Severity::kError, "preflight-unproven",
-                            "the analysis verifier could not prove the spec "
-                            "restructure-eligible"};
-  bool have_reason = false;
-  bool only_staging = true;
-  for (const common::Diagnostic& diag : report.diags.items()) {
-    if (diag.severity != common::Severity::kError) continue;
-    if (!have_reason) {
-      reason = diag;
-      have_reason = true;
-    }
-    if (!staging_rule(diag.rule)) only_staging = false;
-  }
-  if (only_staging) {
-    analysis::CertifyOptions copt;
-    copt.chunk_bytes = chunk_bytes;
-    const analysis::Certificate cert = analysis::certify(loop.spec(), copt);
-    if (cert.certifies_staging(workers)) {
-      if (certified != nullptr) *certified = cert.certified_operands(workers);
-      return rt::PreflightGate::proven();
-    }
-  }
-  return rt::PreflightGate::refused(std::move(reason));
+  return ring_gate(
+      loop.restructure_proof(plan_for(loop, chunk_bytes).iters_per_chunk()),
+      workers, certified);
 }
 
 std::optional<ReductionOperand> find_reduction_operand(
@@ -283,14 +264,11 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
   rt::PerWorkerBuffers* buffers = nullptr;
   std::unique_ptr<rt::PerWorkerBuffers> buffers_owned;
   if (opt.helper == HelperMode::kRestructure) {
-    // Gate before sizing: a certificate can re-enable staging the claim
-    // demotion turned off (restage grows max_staged_per_iter), so the
-    // buffers must be sized after the gate has had its say.
-    std::vector<std::string> certified;
-    gate = gate_for(loop, opt.chunk_bytes, executor.num_threads(), &certified);
-    if (gate.allow_restructure() && !certified.empty()) {
-      loop.restage(certified);
-    }
+    // Prove the geometry this run executes, before sizing: the first proof
+    // may restage what a certificate re-enables (growing
+    // max_staged_per_iter), so the buffers are sized after it.
+    gate = ring_gate(loop.restructure_proof(ipc, &result.gate_seconds),
+                     executor.num_threads(), nullptr);
     const std::uint64_t capacity =
         std::max<std::uint64_t>(64, loop.max_staged_per_iter() * ipc * 8);
     buffers_owned = std::make_unique<rt::PerWorkerBuffers>(
@@ -505,10 +483,10 @@ ExecResult run_stage_arena(MaterializedLoop& loop,
   rt::PreflightGate gate = rt::PreflightGate::proven();
   if (staging) {
     // Stage specs carry derived (hence honest) read-only claims, so the
-    // strict verifier is the whole story here: no demotions exist for the
+    // strict verdict is the whole story here: no demotions exist for a
     // certificate to overturn, and the staged stream always matches the
     // plan's signature — which is what sized the region.
-    gate = gate_for(loop, opt.chunk_bytes);
+    gate = strict_gate(loop.restructure_proof(ipc, &result.gate_seconds));
   }
 
   auto exec = [&](std::uint64_t begin, std::uint64_t end) {

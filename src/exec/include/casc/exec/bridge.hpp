@@ -64,6 +64,9 @@ struct ExecResult {
   std::uint64_t digest = 0;       ///< final interpreter accumulator
   std::uint64_t rw_checksum = 0;  ///< FNV over writable array contents
   double seconds = 0.0;           ///< wall time of the loop itself
+  /// Wall time this call spent proving its chunk geometry before the loop
+  /// (restructure runs only); exactly 0 when the loop's memo held the proof.
+  double gate_seconds = 0.0;
   std::uint64_t total_iters = 0;
   std::uint64_t num_chunks = 1;
   std::uint64_t iters_per_chunk = 0;
@@ -88,9 +91,12 @@ struct ExecResult {
 [[nodiscard]] core::ChunkPlan plan_for(const MaterializedLoop& loop,
                                        std::uint64_t chunk_bytes);
 
-/// Restructure-safety gate for `loop`, derived from the analysis verifier
-/// over the spec's ORIGINAL claims (a demoted claim refuses the gate even
-/// though the sanitized nest no longer stages the offending operand).
+/// Restructure-safety gate for `loop` in chunks of `chunk_bytes`, derived
+/// from the analysis verifier over the spec's ORIGINAL claims (a demoted
+/// claim refuses the gate even though the sanitized nest no longer stages
+/// the offending operand).  Both overloads answer from the loop's proof of
+/// that chunk geometry (MaterializedLoop::restructure_proof): the first call
+/// proves, later calls — either overload, any worker count — are lookups.
 [[nodiscard]] rt::PreflightGate gate_for(const MaterializedLoop& loop,
                                          std::uint64_t chunk_bytes);
 
@@ -99,9 +105,8 @@ struct ExecResult {
 /// gets the final word: a certificate proving the staged bytes write-free
 /// (or token-ordered at this worker count) flips the gate to proven, and
 /// `certified` (when non-null) receives the operand names whose staging the
-/// certificate re-enables — feed them to MaterializedLoop::restage so the
-/// helper stages what the demotion turned off.  Non-staging errors (layout,
-/// footprint, parse) always refuse.
+/// certificate re-enables (the proof has already restaged them on the loop).
+/// Non-staging errors (layout, footprint, parse) always refuse.
 [[nodiscard]] rt::PreflightGate gate_for(const MaterializedLoop& loop,
                                          std::uint64_t chunk_bytes,
                                          std::uint64_t workers,

@@ -8,7 +8,10 @@
 // cost once per distinct spec instead of once per job: acquire() hands out
 // an EXCLUSIVE lease on an idle instance (run_* entry points reset() the
 // arrays, so a reused instance is indistinguishable from a fresh one) and
-// materializes only on a pool miss.  Pipelines pool the same way — a cached
+// materializes only on a pool miss.  A reused instance also keeps the
+// restructure proofs its earlier runs paid for
+// (MaterializedLoop::restructure_proof), so a repeat job skips the analyzer
+// as well.  Pipelines pool the same way — a cached
 // MaterializedPipeline additionally keeps its survival plan and placed
 // staging arena, so a repeat chain skips planning AND placement.
 //

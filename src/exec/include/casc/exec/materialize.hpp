@@ -21,15 +21,24 @@
 // every prior reference, so any reordering or stale staged value changes the
 // final digest — bit-identity across backends is a real check, not a
 // coincidence.
+//
+// The loop also carries its restructure PROOF: the analyzer's verdict per
+// executed chunk geometry, computed by the first caller that needs it and
+// kept for the loop's lifetime, so a loop run many times is proven once.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "casc/analysis/certifier.hpp"
 #include "casc/common/aligned_alloc.hpp"
+#include "casc/common/diagnostic.hpp"
 #include "casc/loopir/loop_nest.hpp"
 #include "casc/loopir/loop_spec.hpp"
 
@@ -58,7 +67,7 @@ enum class SlotKind : std::uint8_t {
 /// stream.  When `uniform` every iteration issues the same slot sequence, so
 /// the interpreter can dispatch ONCE per span to a kernel fused for that
 /// sequence instead of re-branching on every ResolvedRef (bridge.cpp).  The
-/// classification is re-derived whenever staging flags change (restage()).
+/// classification is re-derived when a proof restages the loop.
 struct BodyShape {
   bool uniform = false;             ///< every iteration has the same slots
   std::vector<SlotKind> slots;      ///< the per-iteration sequence (if uniform)
@@ -73,6 +82,19 @@ struct BodyShape {
 /// uses this to share one allocation per pipeline array across every stage.
 using StorageBinder =
     std::function<std::byte*(const std::string& name, std::uint64_t bytes)>;
+
+/// The restructure proof of one chunk geometry (see
+/// MaterializedLoop::restructure_proof).
+struct RestructureProof {
+  /// Strict analysis::analyze verdict over the spec's ORIGINAL claims.
+  bool eligible = false;
+  /// The strict verdict's first error when it refuses.
+  common::Diagnostic reason;
+  /// The race certificate, held only when the strict verdict refuses on
+  /// staging-claim rules alone — the one refusal a certificate can overturn.
+  /// The ring width stays a query on it (certifies_staging(P)).
+  std::optional<analysis::Certificate> certificate;
+};
 
 /// A spec with real backing arrays and a pre-resolved reference stream.
 class MaterializedLoop {
@@ -107,13 +129,18 @@ class MaterializedLoop {
   /// pipeline) decides when the chain's state restarts.
   void reset();
 
-  /// Re-enables staging for the named arrays: every non-write reference of
-  /// each is marked staged and the prefix sums rebuilt.  The preflight gate
-  /// calls this for operands whose read-only claim the sanitizer demoted but
-  /// whose staged bytes the race certifier proved write-free (or token-
-  /// ordered on the run's ring) — the certificate, not the claim, is the
-  /// safety argument.  Names not present in the nest are ignored.
-  void restage(const std::vector<std::string>& certified);
+  /// The restructure proof for chunks of `iters_per_chunk` iterations (any
+  /// count >= num_iterations() is the same one-chunk geometry).  The first
+  /// call for a geometry proves it: the strict analyzer at that geometry,
+  /// plus the race certifier when the refusal is staging-claim failures
+  /// alone.  A certificate that proves staging on some ring restages its
+  /// operands (see restage()); that happens at most once, after which the
+  /// staged stream never changes.  Every later call answers from the memo.
+  /// Safe for concurrent callers (the first proof of a geometry runs once
+  /// while the others wait for it).  `seconds` (when non-null) receives the
+  /// wall time this call spent proving: exactly 0 on a memo hit.
+  [[nodiscard]] const RestructureProof& restructure_proof(
+      std::uint64_t iters_per_chunk, double* seconds = nullptr) const;
 
   /// FNV-1a over the bytes of every writable (non-read-only) array — the
   /// loop's observable output state.
@@ -194,10 +221,17 @@ class MaterializedLoop {
   using ArrayBytes = std::vector<std::byte, common::AlignedAllocator<std::byte>>;
 
   void resolve_stream();
+  /// Re-enables staging for the named arrays: every non-write reference of
+  /// each is marked staged and the staged stream rebuilt.  Only a proof
+  /// calls this, for operands whose read-only claim the sanitizer demoted
+  /// but whose staged bytes the race certifier proved write-free — the
+  /// certificate, not the claim, is the safety argument.  proofs_mutex_
+  /// held.
+  void restage(const std::vector<std::string>& certified) const;
   /// Rebuilds everything derived from the staged flags: the per-iteration
   /// prefix sums, the SoA staged stream, and the body shape.  Called after
-  /// resolve_stream() and after every restage().
-  void rebuild_staged_stream();
+  /// resolve_stream() and by restage().
+  void rebuild_staged_stream() const;
 
   loopir::LoopSpec spec_;
   std::vector<std::string> demoted_;
@@ -205,14 +239,21 @@ class MaterializedLoop {
   std::vector<ArrayBytes> storage_;   // loop-owned backing (empty when bound)
   std::vector<std::byte*> data_;      // per-array base, owned or bound
   std::vector<bool> bound_;           // array uses external storage
-  std::vector<ResolvedRef> refs_;                // flat, iteration-major
   std::vector<std::uint64_t> iter_offsets_;      // num_iterations + 1
-  std::vector<std::uint64_t> staged_prefix_;     // num_iterations + 1
-  std::uint64_t max_staged_per_iter_ = 0;
-  std::vector<std::uint64_t> staged_offsets_;    // SoA staged stream
-  std::vector<std::uint32_t> staged_arrays_;
-  std::vector<std::uint8_t> staged_sizes_;
-  BodyShape shape_;
+  // The staged flags and everything derived from them.  Mutable because the
+  // first certifying proof — reached through const gate queries — restages
+  // them once; they are frozen from then on.
+  mutable std::vector<ResolvedRef> refs_;        // flat, iteration-major
+  mutable std::vector<std::uint64_t> staged_prefix_;  // num_iterations + 1
+  mutable std::uint64_t max_staged_per_iter_ = 0;
+  mutable std::vector<std::uint64_t> staged_offsets_;  // SoA staged stream
+  mutable std::vector<std::uint32_t> staged_arrays_;
+  mutable std::vector<std::uint8_t> staged_sizes_;
+  mutable BodyShape shape_;
+  // Write-once proofs, one per executed chunk geometry (iterations per
+  // chunk); std::map keeps handed-out references stable.
+  mutable std::mutex proofs_mutex_;
+  mutable std::map<std::uint64_t, RestructureProof> proofs_;
 };
 
 }  // namespace casc::exec

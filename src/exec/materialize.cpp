@@ -4,8 +4,10 @@
 #include <cstring>
 
 #include "casc/analysis/shadow.hpp"
+#include "casc/analysis/verifier.hpp"
 #include "casc/common/check.hpp"
 #include "casc/common/rng.hpp"
+#include "casc/common/stopwatch.hpp"
 
 namespace casc::exec {
 
@@ -15,6 +17,46 @@ namespace {
 /// this bounds the bridge at ~256 MB of stream — far above every spec in the
 /// tree, far below anything that could take the host down.
 constexpr std::uint64_t kMaxResolvedRefs = 1ull << 24;
+
+/// The rules a race certificate may overturn: the claims said read-only, and
+/// the resolved addresses may prove the staged bytes write-free anyway.
+/// Anything else (layout overlap, footprint escape, parse errors) is outside
+/// the certificate's scope.
+bool staging_claim_rule(const std::string& rule) {
+  return rule == "classify-write-ro" || rule == "hazard-cross-chunk" ||
+         rule == "shadow-write-ro" || rule == "shadow-hazard-cross-chunk";
+}
+
+/// Proves `spec` at `chunk_bytes`: the strict verdict, and the certificate
+/// when every error is a staging-claim failure.
+RestructureProof prove(const loopir::LoopSpec& spec, std::uint64_t chunk_bytes) {
+  analysis::AnalyzeOptions opt;
+  opt.chunk_bytes = chunk_bytes;
+  const analysis::AnalysisReport report = analysis::analyze(spec, opt);
+  RestructureProof proof;
+  proof.eligible = report.restructure_eligible;
+  if (proof.eligible) return proof;
+  const common::Diagnostic* first_error = nullptr;
+  bool only_staging = true;
+  for (const common::Diagnostic& diag : report.diags.items()) {
+    if (diag.severity != common::Severity::kError) continue;
+    if (first_error == nullptr) first_error = &diag;
+    if (!staging_claim_rule(diag.rule)) only_staging = false;
+  }
+  if (first_error != nullptr) {
+    proof.reason = *first_error;
+  } else {
+    proof.reason.rule = "preflight-unproven";
+    proof.reason.message =
+        "the analysis verifier could not prove the spec restructure-eligible";
+  }
+  if (only_staging) {
+    analysis::CertifyOptions copt;
+    copt.chunk_bytes = chunk_bytes;
+    proof.certificate = analysis::certify(spec, copt);
+  }
+  return proof;
+}
 
 }  // namespace
 
@@ -73,22 +115,49 @@ void MaterializedLoop::reset() {
   }
 }
 
-void MaterializedLoop::restage(const std::vector<std::string>& certified) {
+const RestructureProof& MaterializedLoop::restructure_proof(
+    std::uint64_t iters_per_chunk, double* seconds) const {
+  CASC_CHECK(iters_per_chunk > 0, "iters_per_chunk must be positive");
+  if (seconds != nullptr) *seconds = 0.0;
+  const std::uint64_t ipc = std::min(iters_per_chunk, num_iterations());
+  std::lock_guard<std::mutex> lock(proofs_mutex_);
+  if (const auto it = proofs_.find(ipc); it != proofs_.end()) return it->second;
+
+  common::Stopwatch watch;
+  // The analyzer plans chunks from a byte budget; ipc whole iterations of
+  // this nest map back to exactly ipc (ChunkPlan::for_iters_per_bytes), so
+  // the proof covers the geometry the run executes.
+  RestructureProof proof =
+      prove(spec_, ipc * std::max<std::uint64_t>(1, nest_.bytes_per_iteration()));
+  // A certificate that proves some ring certifies EVERY stage candidate (no
+  // stale pairs, and P <= every flow distance), so the restaged set is the
+  // same at every width and every geometry: restaging here, once, is exact.
+  // Rings the certificate does not cover refuse the gate and never stage
+  // (unless CASC_NO_VERIFY overrides the refusal, at the caller's risk).
+  if (proof.certificate && proof.certificate->certifies_staging(1)) {
+    restage(proof.certificate->certified_operands(1));
+  }
+  const RestructureProof& stored =
+      proofs_.emplace(ipc, std::move(proof)).first->second;
+  if (seconds != nullptr) *seconds = watch.elapsed_seconds();
+  return stored;
+}
+
+void MaterializedLoop::restage(const std::vector<std::string>& certified) const {
   std::vector<bool> wanted(nest_.num_arrays(), false);
-  bool any = false;
   for (loopir::ArrayId id = 0; id < nest_.num_arrays(); ++id) {
     for (const std::string& name : certified) {
-      if (nest_.array(id).name == name) {
-        wanted[id] = true;
-        any = true;
-      }
+      if (nest_.array(id).name == name) wanted[id] = true;
     }
   }
-  if (!any) return;
+  bool changed = false;
   for (ResolvedRef& ref : refs_) {
-    if (!ref.is_write && wanted[ref.array]) ref.staged = true;
+    if (!ref.is_write && !ref.staged && wanted[ref.array]) {
+      ref.staged = true;
+      changed = true;
+    }
   }
-  rebuild_staged_stream();
+  if (changed) rebuild_staged_stream();
 }
 
 void MaterializedLoop::resolve_stream() {
@@ -145,7 +214,7 @@ void MaterializedLoop::resolve_stream() {
   rebuild_staged_stream();
 }
 
-void MaterializedLoop::rebuild_staged_stream() {
+void MaterializedLoop::rebuild_staged_stream() const {
   const std::uint64_t iters = num_iterations();
   staged_prefix_.assign(iters + 1, 0);
   staged_offsets_.clear();

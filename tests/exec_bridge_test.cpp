@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "casc/analysis/certifier.hpp"
+#include "casc/analysis/verifier.hpp"
 #include "casc/cascade/engine.hpp"
 #include "casc/core/chunk.hpp"
 #include "casc/exec/bridge.hpp"
@@ -175,6 +177,209 @@ TEST(ExecBridge, UnsafeSpecRefusesRestructureButStaysCorrect) {
   EXPECT_EQ(got.staged_chunks, 0u);
   EXPECT_EQ(got.digest, ref.digest);
   EXPECT_EQ(got.rw_checksum, ref.rw_checksum);
+}
+
+// ---- the memoized restructure proof ------------------------------------------
+
+/// The gate verdict built directly from the analysis library with no memo:
+/// the reference a loop's memoized proof must reproduce.
+struct DirectVerdict {
+  bool proven = false;
+  std::string rule;  ///< refusal rule (empty when proven)
+  std::vector<std::string> certified;
+};
+
+DirectVerdict direct_verdict(const loopir::LoopSpec& spec,
+                             std::uint64_t chunk_bytes, std::uint64_t workers) {
+  analysis::AnalyzeOptions opt;
+  opt.chunk_bytes = chunk_bytes;
+  const analysis::AnalysisReport report = analysis::analyze(spec, opt);
+  DirectVerdict v;
+  if (report.restructure_eligible) {
+    v.proven = true;
+    return v;
+  }
+  bool only_staging = true;
+  for (const common::Diagnostic& d : report.diags.items()) {
+    if (d.severity != common::Severity::kError) continue;
+    if (v.rule.empty()) v.rule = d.rule;
+    if (d.rule != "classify-write-ro" && d.rule != "hazard-cross-chunk" &&
+        d.rule != "shadow-write-ro" && d.rule != "shadow-hazard-cross-chunk") {
+      only_staging = false;
+    }
+  }
+  if (v.rule.empty()) v.rule = "preflight-unproven";
+  if (only_staging) {
+    analysis::CertifyOptions copt;
+    copt.chunk_bytes = chunk_bytes;
+    const analysis::Certificate cert = analysis::certify(spec, copt);
+    if (cert.certifies_staging(workers)) {
+      v.proven = true;
+      v.rule.clear();
+      v.certified = cert.certified_operands(workers);
+    }
+  }
+  return v;
+}
+
+TEST(ExecBridgeProof, MemoizedVerdictMatchesDirectAnalysis) {
+  for (const std::string& file : kSpecs) {
+    const loopir::LoopSpec spec = load_spec(file);
+    exec::MaterializedLoop loop(spec);
+    for (const std::uint64_t chunk_bytes : {16u * 1024u, 64u * 1024u}) {
+      for (const std::uint64_t workers : {1u, 2u, 4u}) {
+        const DirectVerdict want = direct_verdict(spec, chunk_bytes, workers);
+        std::vector<std::string> certified;
+        const rt::PreflightGate got =
+            exec::gate_for(loop, chunk_bytes, workers, &certified);
+        const std::string where = file + " chunk=" + std::to_string(chunk_bytes) +
+                                  " workers=" + std::to_string(workers);
+        EXPECT_EQ(got.is_proven(), want.proven) << where;
+        if (!want.proven) {
+          EXPECT_EQ(got.reason().rule, want.rule) << where;
+        }
+        EXPECT_EQ(certified, want.certified) << where;
+      }
+      // The strict overload answers from the same proof: the claims alone.
+      analysis::AnalyzeOptions opt;
+      opt.chunk_bytes = chunk_bytes;
+      EXPECT_EQ(exec::gate_for(loop, chunk_bytes).is_proven(),
+                analysis::analyze(spec, opt).restructure_eligible)
+          << file << " chunk=" << chunk_bytes;
+    }
+  }
+}
+
+TEST(ExecBridgeProof, SecondRestructureRunServesTheProofFromTheMemo) {
+  for (const std::string& file :
+       {std::string("dense_sum.casc"), std::string("gather_split.casc"),
+        std::string("unsafe_seeded.casc")}) {
+    exec::MaterializedLoop loop(load_spec(file));
+    const exec::ExecResult ref = exec::run_reference(loop);
+    EXPECT_EQ(ref.gate_seconds, 0.0) << file;  // the reference never gates
+    rt::ExecutorConfig cfg;
+    cfg.num_threads = 2;
+    rt::CascadeExecutor executor(cfg);
+    exec::RtOptions opt;
+    opt.helper = exec::HelperMode::kRestructure;
+    const exec::ExecResult first = exec::run_cascaded(loop, executor, opt);
+    const exec::ExecResult second = exec::run_cascaded(loop, executor, opt);
+    EXPECT_GT(first.gate_seconds, 0.0) << file;
+    EXPECT_EQ(second.gate_seconds, 0.0) << file;
+    EXPECT_EQ(first.preflight_refused, second.preflight_refused) << file;
+    EXPECT_EQ(first.digest, ref.digest) << file;
+    EXPECT_EQ(second.digest, ref.digest) << file;
+    EXPECT_EQ(second.rw_checksum, ref.rw_checksum) << file;
+
+    // Prefetch runs never prove; a new worker count reuses the geometry's
+    // proof.
+    opt.helper = exec::HelperMode::kPrefetch;
+    EXPECT_EQ(exec::run_cascaded(loop, executor, opt).gate_seconds, 0.0) << file;
+    rt::ExecutorConfig wide;
+    wide.num_threads = 4;
+    rt::CascadeExecutor wide_executor(wide);
+    opt.helper = exec::HelperMode::kRestructure;
+    const exec::ExecResult wider = exec::run_cascaded(loop, wide_executor, opt);
+    EXPECT_EQ(wider.gate_seconds, 0.0) << file;
+    EXPECT_EQ(wider.digest, ref.digest) << file;
+  }
+}
+
+bool same_shape(const exec::BodyShape& a, const exec::BodyShape& b) {
+  return a.uniform == b.uniform && a.slots == b.slots &&
+         a.staged_reads == b.staged_reads && a.plain_reads == b.plain_reads &&
+         a.writes == b.writes;
+}
+
+TEST(ExecBridgeProof, CertifiedRestagingHappensOnceAndThenFreezes) {
+  exec::MaterializedLoop loop(load_spec("gather_split.casc"));
+  const exec::ExecResult ref = exec::run_reference(loop);
+  const std::uint64_t demoted_total = loop.staged_refs_total();
+
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 4;
+  rt::CascadeExecutor executor(cfg);
+  exec::RtOptions opt;
+  opt.helper = exec::HelperMode::kRestructure;
+  const exec::ExecResult first = exec::run_cascaded(loop, executor, opt);
+  ASSERT_FALSE(first.preflight_refused) << first.preflight_diag;
+  EXPECT_EQ(first.digest, ref.digest);
+  // The certificate re-enabled 't': the first proof restaged it.
+  const std::uint64_t staged_total = loop.staged_refs_total();
+  EXPECT_GT(staged_total, demoted_total);
+  const exec::BodyShape shape = loop.body_shape();
+
+  for (int run = 0; run < 3; ++run) {
+    const exec::ExecResult again = exec::run_cascaded(loop, executor, opt);
+    EXPECT_EQ(again.digest, ref.digest) << "run " << run;
+    EXPECT_EQ(again.rw_checksum, ref.rw_checksum) << "run " << run;
+    EXPECT_EQ(loop.staged_refs_total(), staged_total) << "run " << run;
+    EXPECT_TRUE(same_shape(loop.body_shape(), shape)) << "run " << run;
+  }
+  // A new geometry is proven afresh, but its certificate restages the same
+  // operands: the stream stays as it is.
+  opt.chunk_bytes = 16 * 1024;
+  const exec::ExecResult other = exec::run_cascaded(loop, executor, opt);
+  EXPECT_GT(other.gate_seconds, 0.0);
+  EXPECT_EQ(other.digest, ref.digest);
+  EXPECT_EQ(loop.staged_refs_total(), staged_total);
+  EXPECT_TRUE(same_shape(loop.body_shape(), shape));
+}
+
+// Bounded-distance flow (certifier_test's kFlow8): the write at iteration i
+// is staged-read at i + 8192.  At 24 bytes/iteration a 24 KiB chunk holds
+// 1024 iterations, so every flow pair is 8 chunks apart; 2048-iteration
+// chunks leave 4, 2731- and 4096-iteration chunks only 2.
+constexpr const char* kFlow8 = R"(
+loop flow8
+trip 32768
+compute 4 3
+layout conflicting
+array s 8 32768 ro
+array k 8 32768 ro
+access k read
+access s read offset -8192
+access s write
+)";
+
+TEST(ExecBridgeProof, OverriddenChunkGeometryIsTheOneProven) {
+  // The gate must prove the chunks the run executes, not the ones
+  // chunk_bytes would give: the certificate's ring bound is a chunk
+  // distance.  On a 4-worker ring, overrides that keep the distance >= 4
+  // stage; overrides that shrink it below 4 must refuse, or the helpers
+  // stage 's' before its writer runs.
+  exec::MaterializedLoop loop(loopir::LoopSpec::parse(kFlow8));
+  ASSERT_EQ(loop.demoted_claims(), std::vector<std::string>{"s"});
+  const exec::ExecResult ref = exec::run_reference(loop);
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 4;
+  rt::CascadeExecutor executor(cfg);
+  for (const std::uint64_t ipc : {1024u, 2048u, 2731u, 4096u}) {
+    exec::RtOptions opt;
+    opt.helper = exec::HelperMode::kRestructure;
+    opt.chunk_bytes = 24 * 1024;
+    opt.iters_per_chunk = ipc;
+    const bool stages = ipc <= 2048;
+    std::uint64_t staged_chunks = 0;
+    for (int run = 0; run < 5; ++run) {
+      const exec::ExecResult got = exec::run_cascaded(loop, executor, opt);
+      EXPECT_EQ(got.iters_per_chunk, ipc);
+      EXPECT_EQ(got.preflight_refused, !stages) << "ipc=" << ipc;
+      EXPECT_EQ(got.digest, ref.digest) << "ipc=" << ipc << " run " << run;
+      EXPECT_EQ(got.rw_checksum, ref.rw_checksum) << "ipc=" << ipc << " run " << run;
+      staged_chunks += got.staged_chunks;
+    }
+    if (stages) {
+      EXPECT_GT(staged_chunks, 0u) << "ipc=" << ipc;
+    } else {
+      EXPECT_EQ(staged_chunks, 0u) << "ipc=" << ipc;
+    }
+    // The memo holds the executed geometry's certificate.
+    const exec::RestructureProof& proof = loop.restructure_proof(ipc);
+    ASSERT_TRUE(proof.certificate.has_value()) << "ipc=" << ipc;
+    EXPECT_EQ(proof.certificate->chunk_iters, ipc);
+    EXPECT_EQ(proof.certificate->max_safe_workers, 8192 / ipc);
+  }
 }
 
 TEST(ExecBridge, ChunkPlanParityAcrossBackends) {

@@ -151,6 +151,76 @@ endloop
   EXPECT_EQ(stats.misses, 1u);
 }
 
+TEST(LoopPool, ReleasedLoopCarriesItsProof) {
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 2;
+  rt::CascadeExecutor executor(cfg);
+  exec::RtOptions opt;
+  opt.helper = exec::HelperMode::kRestructure;
+  exec::LoopPool pool;
+  exec::ExecResult first;
+  {
+    exec::LoopLease lease = pool.acquire(spec(), kSpec);
+    first = exec::run_cascaded(lease.loop(), executor, opt);
+    EXPECT_GT(first.gate_seconds, 0.0);
+  }
+  exec::LoopLease lease = pool.acquire(spec(), kSpec);
+  ASSERT_TRUE(lease.reused());
+  const exec::ExecResult again = exec::run_cascaded(lease.loop(), executor, opt);
+  EXPECT_EQ(again.gate_seconds, 0.0);  // the verdict came from the memo
+  EXPECT_FALSE(again.preflight_refused);
+  EXPECT_EQ(again.digest, first.digest);
+  EXPECT_EQ(again.rw_checksum, first.rw_checksum);
+}
+
+// Indirect gather from the lower half of 't' while the loop writes the
+// upper half, 't' claimed read-only: the certificate (not the claim) proves
+// it, and the first proof restages 't' on the loop.
+constexpr const char* kGatherSplit = R"(loop gather_split
+trip 4096
+compute 6 4
+layout conflicting
+array t 8 8192 ro
+index gidx 4096 random 17
+access t read via gidx
+access t write offset 4096
+)";
+
+TEST(LoopPool, ConcurrentGateQueriesShareOneProof) {
+  const loopir::LoopSpec gather = loopir::LoopSpec::parse(kGatherSplit);
+  exec::LoopPool pool;
+  exec::LoopLease lease = pool.acquire(gather, kGatherSplit);
+  const exec::MaterializedLoop& loop = lease.loop();
+  struct Verdict {
+    bool proven = false;
+    std::string rule;
+    std::vector<std::string> certified;
+  };
+  std::vector<Verdict> verdicts(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < verdicts.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const rt::PreflightGate gate =
+          exec::gate_for(loop, 64 * 1024, 4, &verdicts[t].certified);
+      verdicts[t].proven = gate.is_proven();
+      verdicts[t].rule = gate.reason().rule;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_TRUE(verdicts[0].proven);
+  EXPECT_FALSE(verdicts[0].certified.empty());
+  for (const Verdict& v : verdicts) {
+    EXPECT_EQ(v.proven, verdicts[0].proven);
+    EXPECT_EQ(v.rule, verdicts[0].rule);
+    EXPECT_EQ(v.certified, verdicts[0].certified);
+  }
+  // One proof served all four: the geometry is already in the memo.
+  double seconds = -1.0;
+  (void)loop.restructure_proof(
+      exec::plan_for(loop, 64 * 1024).iters_per_chunk(), &seconds);
+  EXPECT_EQ(seconds, 0.0);
+}
+
 TEST(LoopPool, ThreadedAcquireReleaseIsSafe) {
   exec::LoopPool pool;
   std::vector<std::thread> threads;

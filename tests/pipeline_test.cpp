@@ -346,4 +346,31 @@ TEST(PipelineExec, RepeatedRunsAreDeterministic) {
   EXPECT_EQ(a.rw_checksum, b.rw_checksum);
 }
 
+TEST(PipelineExec, SecondRunServesEveryStageProofFromTheMemo) {
+  // Each gathering stage proves its chunk geometry on the first run; the
+  // proof lives on the stage's MaterializedLoop, so the second run proves
+  // nothing and behaves identically.
+  exec::MaterializedPipeline pipe(wave5::make_parmvr_pipeline(/*scale=*/64));
+  const exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 2;
+  rt::CascadeExecutor executor(cfg);
+  const exec::PipelineResult first = exec::run_pipeline_cascaded(pipe, executor);
+  const exec::PipelineResult second = exec::run_pipeline_cascaded(pipe, executor);
+  double first_gate = 0.0;
+  for (const exec::PipelineStageResult& s : first.stages) {
+    first_gate += s.result.gate_seconds;
+  }
+  EXPECT_GT(first_gate, 0.0);
+  for (const exec::PipelineStageResult& s : second.stages) {
+    EXPECT_EQ(s.result.gate_seconds, 0.0) << s.name;
+  }
+  if (!first.degraded() && !second.degraded()) {
+    EXPECT_EQ(second.stages_reused, first.stages_reused);
+  }
+  EXPECT_EQ(first.chain_digest, ref.chain_digest);
+  EXPECT_EQ(second.chain_digest, ref.chain_digest);
+  EXPECT_EQ(second.rw_checksum, ref.rw_checksum);
+}
+
 }  // namespace
