@@ -203,8 +203,8 @@ std::optional<ReductionOperand> find_reduction_operand(
 namespace {
 
 /// Sequential interpretation against the arrays' CURRENT contents — the
-/// pipeline paths sequence resets at chain level, so the per-loop entry
-/// point's reset is split out.
+/// pipeline paths reset and checksum at chain level, so the per-loop entry
+/// point's reset and checksum are split out.
 ExecResult reference_no_reset(MaterializedLoop& loop) {
   ExecResult result;
   result.total_iters = loop.num_iterations();
@@ -213,7 +213,6 @@ ExecResult reference_no_reset(MaterializedLoop& loop) {
   result.digest = interpret_span(loop, 0, result.total_iters,
                                  MaterializedLoop::kAccSeed, nullptr);
   result.seconds = watch.elapsed_seconds();
-  result.rw_checksum = loop.rw_checksum();
   return result;
 }
 
@@ -221,7 +220,9 @@ ExecResult reference_no_reset(MaterializedLoop& loop) {
 
 ExecResult run_reference(MaterializedLoop& loop) {
   loop.reset();
-  return reference_no_reset(loop);
+  ExecResult result = reference_no_reset(loop);
+  result.rw_checksum = loop.rw_checksum();
+  return result;
 }
 
 namespace {
@@ -244,7 +245,6 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
   result.num_chunks = std::max<std::uint64_t>(1, num_chunks);
   if (total == 0) {
     result.digest = MaterializedLoop::kAccSeed;
-    result.rw_checksum = loop.rw_checksum();
     return result;
   }
 
@@ -410,7 +410,6 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
   result.staged_chunks = static_cast<std::uint64_t>(
       std::count(chunk_staged.begin(), chunk_staged.end(), char{1}));
   result.digest = acc;
-  result.rw_checksum = loop.rw_checksum();
   return result;
 }
 
@@ -419,7 +418,9 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
 ExecResult run_cascaded(MaterializedLoop& loop, rt::CascadeExecutor& executor,
                         const RtOptions& opt) {
   loop.reset();
-  return cascaded_no_reset(loop, executor, opt);
+  ExecResult result = cascaded_no_reset(loop, executor, opt);
+  result.rw_checksum = loop.rw_checksum();
+  return result;
 }
 
 // ---- pipelines -------------------------------------------------------------
@@ -462,7 +463,6 @@ ExecResult run_stage_arena(MaterializedLoop& loop,
   result.num_chunks = std::max<std::uint64_t>(1, num_chunks);
   if (total == 0) {
     result.digest = MaterializedLoop::kAccSeed;
-    result.rw_checksum = loop.rw_checksum();
     return result;
   }
 
@@ -604,7 +604,6 @@ ExecResult run_stage_arena(MaterializedLoop& loop,
       reuse ? rs.chunk_staged.begin() : chunk_staged.begin(),
       reuse ? rs.chunk_staged.end() : chunk_staged.end(), char{1}));
   result.digest = acc;
-  result.rw_checksum = loop.rw_checksum();
 
   if (!reuse) {
     rs.chunk_staged = std::move(chunk_staged);

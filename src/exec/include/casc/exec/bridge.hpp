@@ -62,7 +62,11 @@ struct RtOptions {
 /// Outcome of one run (either backend-side entry point).
 struct ExecResult {
   std::uint64_t digest = 0;       ///< final interpreter accumulator
-  std::uint64_t rw_checksum = 0;  ///< FNV over writable array contents
+  /// FNV-1a over the loop's writable array contents after the run
+  /// (MaterializedLoop::rw_checksum()), set by the per-loop entry points
+  /// run_reference / run_cascaded.  Always 0 in a pipeline's stage results:
+  /// a chain checks its state once, in PipelineResult::rw_checksum.
+  std::uint64_t rw_checksum = 0;
   double seconds = 0.0;           ///< wall time of the loop itself
   /// Wall time this call spent proving its chunk geometry before the loop
   /// (restructure runs only); exactly 0 when the loop's memo held the proof.
@@ -152,8 +156,12 @@ struct PipelineStageResult {
 /// cascades) are comparable bit for bit.
 struct PipelineResult {
   std::uint64_t chain_digest = 0;
+  /// MaterializedPipeline::rw_checksum() after the last stage; the only
+  /// checksum a chain run computes.
   std::uint64_t rw_checksum = 0;
-  double seconds = 0.0;  ///< whole-chain wall time
+  /// Wall time of the stage loop, from the first stage's start to the last
+  /// stage's end; excludes the chain's reset and checksum.
+  double seconds = 0.0;
   std::uint64_t stages_reused = 0;
   std::vector<PipelineStageResult> stages;
 

@@ -11,9 +11,13 @@
 // disjoint live ranges share arena bytes.
 //
 // Interpretation semantics are per-stage MaterializedLoop semantics; the
-// chain-level digest is the FNV fold of the stage digests plus the final
-// shared-array checksum, so any stage diverging on any path diverges the
-// chain.  bridge.hpp's run_pipeline_* entry points execute it.
+// chain-level result is the FNV fold of the stage digests plus ONE checksum
+// of the final shared-array state, so any stage diverging on any path
+// diverges the chain.  The chain is one sequential composition: its state is
+// restored once before a run and checked once after it, never per stage,
+// and both touch only the arrays some stage writes — the rest are filled
+// once, at construction, and never change.  bridge.hpp's run_pipeline_*
+// entry points execute it.
 #pragma once
 
 #include <cstddef>
@@ -45,13 +49,15 @@ class MaterializedPipeline {
     return *stages_[k];
   }
 
-  /// Restores every shared array to its deterministic initial contents — the
-  /// chain's defined starting state.  Every pipeline run_* entry point calls
-  /// this ONCE per run; stages never reset shared arrays themselves.
+  /// Restores the chain's defined starting state: refills every shared array
+  /// some stage writes with its deterministic initial contents.  Arrays no
+  /// stage writes keep their construction-time fill, which no run changes.
+  /// Every pipeline run_* entry point calls this ONCE per run; stages never
+  /// reset shared arrays themselves.
   void reset();
 
-  /// FNV-1a over the bytes of every shared array some stage writes — the
-  /// chain's observable output state.
+  /// FNV-1a over the bytes of every shared array some stage writes, in
+  /// declaration order — the chain's observable output state.
   [[nodiscard]] std::uint64_t rw_checksum() const;
 
   /// Stage k's staging region inside the shared arena, or nullptr when the
@@ -69,11 +75,13 @@ class MaterializedPipeline {
   }
 
  private:
-  void fill_shared_arrays();
+  /// Fills pipeline array `i` with its deterministic initial contents.
+  void fill_array(std::size_t i);
 
   loopir::PipelineSpec spec_;
   analysis::PipelinePlan plan_;
   std::vector<common::AlignedStorage> shared_;  // one per pipeline array
+  std::vector<std::size_t> written_;  // arrays some stage writes, in order
   std::vector<std::unique_ptr<MaterializedLoop>> stages_;
   common::AlignedStorage arena_;
 };

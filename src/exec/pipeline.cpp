@@ -47,65 +47,69 @@ MaterializedPipeline::MaterializedPipeline(const loopir::PipelineSpec& spec)
   if (plan_.arena_bytes > 0) {
     arena_ = common::AlignedStorage(plan_.arena_bytes);
   }
-  fill_shared_arrays();
-}
-
-void MaterializedPipeline::fill_shared_arrays() {
+  // Every array starts filled; only the ones some stage writes ever change.
+  // An array no stage writes is `ro` in every stage spec, and the
+  // interpreter stores only through write references, so reset() and
+  // rw_checksum() skip it.
   for (std::size_t i = 0; i < spec_.arrays.size(); ++i) {
-    const loopir::LoopSpec::ArrayDecl& decl = spec_.arrays[i];
-    std::byte* out = shared_[i].data();
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(decl.elem_size) * decl.num_elems;
-    if (decl.pattern) {
-      // Index array: storage holds the values SOME stage's nest materialized
-      // for it.  Every stage declaring it as an index array materializes the
-      // identical sequence (same pattern/seed/param/size), so any stage
-      // serves; a chain where every user clobbers it has no pattern
-      // consumer, and the data fill below is as good a start state as any.
-      bool filled = false;
-      for (std::size_t k = 0; k < stages_.size() && !filled; ++k) {
-        const loopir::LoopNest& nest = stages_[k]->nest();
-        for (loopir::ArrayId id = 0; id < nest.num_arrays(); ++id) {
-          if (nest.array(id).name != decl.name) continue;
-          const std::vector<std::uint32_t>& values = nest.index_values(id);
-          if (values.empty()) break;
-          const std::size_t width = std::min<std::size_t>(decl.elem_size, 8);
-          for (std::size_t v = 0; v < values.size(); ++v) {
-            const std::uint64_t value = values[v];
-            std::memcpy(out + v * decl.elem_size, &value, width);
-          }
-          filled = true;
-          break;
-        }
+    fill_array(i);
+    for (const loopir::PipelineSpec::Stage& stage : spec_.stages) {
+      if (stage.writes(spec_.arrays[i].name)) {
+        written_.push_back(i);
+        break;
       }
-      if (filled) continue;
-    }
-    // Data array: deterministic pseudo-random contents keyed by the
-    // PIPELINE-level array position, so every run (and every execution path
-    // over this pipeline) sees identical operand values.
-    common::Rng rng(0xC45CADEull ^
-                    (std::uint64_t{i} + 1) * 0x9e3779b97f4a7c15ull);
-    std::uint64_t pos = 0;
-    while (pos < bytes) {
-      const std::uint64_t word = rng.next();
-      const std::size_t take = std::min<std::uint64_t>(8, bytes - pos);
-      std::memcpy(out + pos, &word, take);
-      pos += take;
     }
   }
 }
 
-void MaterializedPipeline::reset() { fill_shared_arrays(); }
+void MaterializedPipeline::fill_array(std::size_t i) {
+  const loopir::LoopSpec::ArrayDecl& decl = spec_.arrays[i];
+  std::byte* out = shared_[i].data();
+  const std::uint64_t bytes =
+      static_cast<std::uint64_t>(decl.elem_size) * decl.num_elems;
+  if (decl.pattern) {
+    // Index array: storage holds the values SOME stage's nest materialized
+    // for it.  Every stage declaring it as an index array materializes the
+    // identical sequence (same pattern/seed/param/size), so any stage
+    // serves; a chain where every user clobbers it has no pattern consumer,
+    // and the data fill below is as good a start state as any.
+    for (const std::unique_ptr<MaterializedLoop>& stage : stages_) {
+      const loopir::LoopNest& nest = stage->nest();
+      for (loopir::ArrayId id = 0; id < nest.num_arrays(); ++id) {
+        if (nest.array(id).name != decl.name) continue;
+        const std::vector<std::uint32_t>& values = nest.index_values(id);
+        if (values.empty()) break;
+        const std::size_t width = std::min<std::size_t>(decl.elem_size, 8);
+        for (std::size_t v = 0; v < values.size(); ++v) {
+          const std::uint64_t value = values[v];
+          std::memcpy(out + v * decl.elem_size, &value, width);
+        }
+        return;
+      }
+    }
+  }
+  // Data array: deterministic pseudo-random contents keyed by the
+  // PIPELINE-level array position, so every run (and every execution path
+  // over this pipeline) sees identical operand values.
+  common::Rng rng(0xC45CADEull ^
+                  (std::uint64_t{i} + 1) * 0x9e3779b97f4a7c15ull);
+  std::uint64_t pos = 0;
+  while (pos < bytes) {
+    const std::uint64_t word = rng.next();
+    const std::size_t take = std::min<std::uint64_t>(8, bytes - pos);
+    std::memcpy(out + pos, &word, take);
+    pos += take;
+  }
+}
+
+void MaterializedPipeline::reset() {
+  for (const std::size_t i : written_) fill_array(i);
+}
 
 std::uint64_t MaterializedPipeline::rw_checksum() const {
   std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a
-  for (std::size_t i = 0; i < spec_.arrays.size(); ++i) {
+  for (const std::size_t i : written_) {
     const loopir::LoopSpec::ArrayDecl& decl = spec_.arrays[i];
-    bool written = false;
-    for (const loopir::PipelineSpec::Stage& stage : spec_.stages) {
-      if (stage.writes(decl.name)) written = true;
-    }
-    if (!written) continue;
     const std::byte* p = shared_[i].data();
     const std::uint64_t bytes =
         static_cast<std::uint64_t>(decl.elem_size) * decl.num_elems;

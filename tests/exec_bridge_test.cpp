@@ -24,6 +24,7 @@
 #include "casc/loopir/loop_spec.hpp"
 #include "casc/rt/executor.hpp"
 #include "casc/rt/fault_injection.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -73,6 +74,42 @@ TEST(ExecBridge, CascadedMatchesReferenceBitForBit) {
         EXPECT_EQ(got.rw_checksum, ref.rw_checksum)
             << file << " threads=" << threads << " mode=" << static_cast<int>(mode);
       }
+    }
+  }
+}
+
+/// The test's own FNV-1a over the loop's writable arrays, in array order:
+/// the value run_reference and run_cascaded report, and the one svc replies
+/// and `cascctl --verify-local` compare.
+std::uint64_t writable_fnv(const exec::MaterializedLoop& loop) {
+  std::uint64_t hash = test::kFnvBasis;
+  const loopir::LoopNest& nest = loop.nest();
+  for (loopir::ArrayId id = 0; id < nest.num_arrays(); ++id) {
+    if (nest.array(id).read_only) continue;
+    hash = test::fnv1a(hash, loop.array_data(id), nest.array(id).size_bytes());
+  }
+  return hash;
+}
+
+TEST(ExecBridge, ChecksumIsFnv1aOverTheWritableArrays) {
+  for (const std::string& file : kSpecs) {
+    exec::MaterializedLoop loop(load_spec(file));
+    const exec::ExecResult ref = exec::run_reference(loop);
+    EXPECT_EQ(ref.rw_checksum, writable_fnv(loop)) << file;
+    EXPECT_NE(ref.rw_checksum, test::kFnvBasis) << file;  // bytes were hashed
+    rt::ExecutorConfig cfg;
+    cfg.num_threads = 2;
+    rt::CascadeExecutor executor(cfg);
+    for (const exec::HelperMode mode :
+         {exec::HelperMode::kNone, exec::HelperMode::kPrefetch,
+          exec::HelperMode::kRestructure}) {
+      exec::RtOptions opt;
+      opt.helper = mode;
+      const exec::ExecResult got = exec::run_cascaded(loop, executor, opt);
+      EXPECT_EQ(got.rw_checksum, writable_fnv(loop))
+          << file << " mode=" << static_cast<int>(mode);
+      EXPECT_EQ(got.rw_checksum, ref.rw_checksum)
+          << file << " mode=" << static_cast<int>(mode);
     }
   }
 }

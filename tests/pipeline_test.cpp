@@ -4,8 +4,13 @@
 // staged-stream reuse), independent cascades — which must agree bit for bit
 // on every spec, every helper mode, every worker count, and every chunk
 // geometry.  Reuse is proof-gated: the committed index-clobber spec pins the
-// fallback-to-restaging path.
+// fallback-to-restaging path, and seeded chaos pins the health gate.  The
+// chain's state bookkeeping is pinned too: one checksum per run, over
+// exactly the arrays some stage writes, and a reset that restores them.
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -19,7 +24,9 @@
 #include "casc/exec/pipeline.hpp"
 #include "casc/loopir/pipeline_spec.hpp"
 #include "casc/rt/executor.hpp"
+#include "casc/rt/fault_injection.hpp"
 #include "casc/wave5/parmvr.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -221,13 +228,81 @@ TEST(PipelinePlan, ParmvrCall12HasEngineeredReuseRuns) {
   EXPECT_EQ(plan.stages[13].region_of, 12u);
 }
 
+// ---- chain state: one checksum, over the written arrays --------------------
+
+bool written_by_some_stage(const loopir::PipelineSpec& spec,
+                           const std::string& array) {
+  return std::any_of(spec.stages.begin(), spec.stages.end(),
+                     [&](const loopir::PipelineSpec::Stage& stage) {
+                       return stage.writes(array);
+                     });
+}
+
+/// The shared storage of pipeline array `decl`, reached through a stage that
+/// binds it; nullptr when no stage references the array.
+const std::byte* shared_bytes(const exec::MaterializedPipeline& pipe,
+                              const loopir::LoopSpec::ArrayDecl& decl) {
+  for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
+    const loopir::LoopNest& nest = pipe.stage(k).nest();
+    for (loopir::ArrayId id = 0; id < nest.num_arrays(); ++id) {
+      if (nest.array(id).name == decl.name) return pipe.stage(k).array_data(id);
+    }
+  }
+  return nullptr;
+}
+
+std::uint64_t decl_bytes(const loopir::LoopSpec::ArrayDecl& decl) {
+  return std::uint64_t{decl.elem_size} * decl.num_elems;
+}
+
+/// The test's own FNV-1a over every shared array some stage writes, in
+/// declaration order: the value PipelineResult::rw_checksum must carry.
+std::uint64_t written_fnv(const exec::MaterializedPipeline& pipe) {
+  std::uint64_t hash = test::kFnvBasis;
+  for (const loopir::LoopSpec::ArrayDecl& decl : pipe.spec().arrays) {
+    if (!written_by_some_stage(pipe.spec(), decl.name)) continue;
+    const std::byte* data = shared_bytes(pipe, decl);
+    EXPECT_NE(data, nullptr) << decl.name;
+    if (data != nullptr) hash = test::fnv1a(hash, data, decl_bytes(decl));
+  }
+  return hash;
+}
+
+/// Byte-compares the shared arrays of `got` and `want` (two materializations
+/// of one spec): the arrays some stage writes when `written`, else the ones
+/// no stage writes.
+void expect_arrays_identical(const exec::MaterializedPipeline& got,
+                             const exec::MaterializedPipeline& want,
+                             bool written, const std::string& where) {
+  for (const loopir::LoopSpec::ArrayDecl& decl : got.spec().arrays) {
+    if (written_by_some_stage(got.spec(), decl.name) != written) continue;
+    const std::byte* a = shared_bytes(got, decl);
+    const std::byte* b = shared_bytes(want, decl);
+    if (a == nullptr || b == nullptr) continue;  // unreferenced: never touched
+    EXPECT_EQ(std::memcmp(a, b, decl_bytes(decl)), 0)
+        << where << " array " << decl.name;
+  }
+}
+
 // ---- execution: three paths, one digest ------------------------------------
 
 void expect_three_way_identity(const loopir::PipelineSpec& spec,
                                std::uint64_t expected_reused) {
   exec::MaterializedPipeline pipe(spec);
+  // A chain checks its state once per run: the result carries the test's
+  // own FNV-1a over the written arrays, and no stage computes a checksum.
+  auto expect_state_checked_once = [&](const exec::PipelineResult& r,
+                                       const std::string& where) {
+    EXPECT_EQ(r.rw_checksum, written_fnv(pipe)) << spec.name << " " << where;
+    for (const exec::PipelineStageResult& s : r.stages) {
+      EXPECT_EQ(s.result.rw_checksum, 0u)
+          << spec.name << " " << where << " stage " << s.name;
+    }
+  };
   const exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
   ASSERT_EQ(ref.stages.size(), spec.stages.size());
+  expect_state_checked_once(ref, "reference");
+  EXPECT_NE(ref.rw_checksum, test::kFnvBasis) << spec.name;  // bytes were hashed
 
   for (const unsigned threads : {1u, 2u, 4u}) {
     rt::ExecutorConfig cfg;
@@ -238,8 +313,11 @@ void expect_three_way_identity(const loopir::PipelineSpec& spec,
           exec::HelperMode::kRestructure}) {
       exec::RtOptions opt;
       opt.helper = mode;
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " mode=" + std::to_string(static_cast<int>(mode));
       const exec::PipelineResult got =
           exec::run_pipeline_cascaded(pipe, executor, opt);
+      expect_state_checked_once(got, "pipelined " + where);
       EXPECT_EQ(got.chain_digest, ref.chain_digest)
           << spec.name << " threads=" << threads
           << " mode=" << static_cast<int>(mode);
@@ -259,6 +337,7 @@ void expect_three_way_identity(const loopir::PipelineSpec& spec,
 
       const exec::PipelineResult ind =
           exec::run_pipeline_independent(pipe, threads, opt);
+      expect_state_checked_once(ind, "independent " + where);
       EXPECT_EQ(ind.chain_digest, ref.chain_digest) << spec.name;
       EXPECT_EQ(ind.rw_checksum, ref.rw_checksum) << spec.name;
       EXPECT_EQ(ind.stages_reused, 0u);
@@ -283,6 +362,12 @@ TEST(PipelineExec, MixedChainAgreesAcrossAllPaths) {
 
 TEST(PipelineExec, ParmvrCall12AgreesAcrossAllPaths) {
   expect_three_way_identity(wave5::make_parmvr_pipeline(/*scale=*/64),
+                            /*expected_reused=*/4);
+}
+
+TEST(PipelineExec, ParmvrFullScaleAgreesAcrossAllPaths) {
+  // The benchmarked chain: 15 stages over 14 MiB, 9 MiB of it written.
+  expect_three_way_identity(wave5::make_parmvr_pipeline(/*scale=*/1),
                             /*expected_reused=*/4);
 }
 
@@ -371,6 +456,74 @@ TEST(PipelineExec, SecondRunServesEveryStageProofFromTheMemo) {
   EXPECT_EQ(first.chain_digest, ref.chain_digest);
   EXPECT_EQ(second.chain_digest, ref.chain_digest);
   EXPECT_EQ(second.rw_checksum, ref.rw_checksum);
+}
+
+// ---- chain state under chaos ----------------------------------------------
+
+TEST(PipelineState, ChaosFallsBackAndLeavesTheStateExact) {
+  // Seeded helper faults on the pipelined restructure path: the chain must
+  // still produce the reference bits, a degraded gather must force its
+  // successors to re-stage instead of replaying, the arrays no stage writes
+  // must come out of the runs untouched, and reset() must restore the rest.
+  constexpr std::uint64_t kIpc = 128;
+  std::vector<loopir::PipelineSpec> specs;
+  for (const std::string& file : kPipelineSpecs) specs.push_back(load_pipeline(file));
+  specs.push_back(wave5::make_parmvr_pipeline(/*scale=*/64));
+  std::uint64_t degraded_gathers = 0;
+  std::uint64_t refused_replays = 0;
+  for (const loopir::PipelineSpec& spec : specs) {
+    const exec::MaterializedPipeline fresh(spec);
+    exec::MaterializedPipeline pipe(spec);
+    const exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
+    std::uint64_t chunks = 1;
+    for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
+      chunks = std::max(chunks, (pipe.stage(k).num_iterations() + kIpc - 1) / kIpc);
+    }
+    for (const unsigned threads : {2u, 4u}) {
+      rt::ExecutorConfig cfg;
+      cfg.num_threads = threads;
+      // Retry instantly: repeat faults drive quarantine and reclamation.
+      cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
+      rt::CascadeExecutor executor(cfg);
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        rt::ChaosOptions chaos_opt;
+        chaos_opt.fault_rate = 0.5;
+        chaos_opt.max_stall = std::chrono::milliseconds(1);
+        const rt::ChaosPlan plan = rt::ChaosPlan::make(seed, chunks, kIpc, chaos_opt);
+        exec::RtOptions opt;
+        opt.helper = exec::HelperMode::kRestructure;
+        opt.iters_per_chunk = kIpc;
+        opt.chaos = &plan;
+        const std::string where = spec.name + " threads=" + std::to_string(threads) +
+                                  " seed=" + std::to_string(seed);
+        const exec::PipelineResult got =
+            exec::run_pipeline_cascaded(pipe, executor, opt);
+        EXPECT_EQ(got.chain_digest, ref.chain_digest) << where;
+        EXPECT_EQ(got.rw_checksum, ref.rw_checksum) << where;
+
+        // A replaying stage executes against the stream its most recent
+        // gathering (non-replaying) predecessor committed.
+        bool gather_degraded = false;
+        for (std::size_t k = 0; k < got.stages.size(); ++k) {
+          const exec::PipelineStageResult& stage = got.stages[k];
+          if (stage.reused_staging) {
+            EXPECT_FALSE(gather_degraded) << where << " stage " << stage.name;
+            continue;
+          }
+          if (pipe.reuses_previous(k) && gather_degraded) ++refused_replays;
+          gather_degraded = stage.result.degraded;
+          if (gather_degraded) ++degraded_gathers;
+        }
+
+        expect_arrays_identical(pipe, fresh, /*written=*/false, where);
+        pipe.reset();
+        expect_arrays_identical(pipe, fresh, /*written=*/true, where + " reset");
+      }
+    }
+  }
+  // The schedules did degrade gathers and did turn replays into re-staging.
+  EXPECT_GT(degraded_gathers, 0u);
+  EXPECT_GT(refused_replays, 0u);
 }
 
 }  // namespace

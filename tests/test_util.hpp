@@ -2,12 +2,27 @@
 // nests that run in milliseconds while still exercising cache effects.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "casc/loopir/loop_nest.hpp"
 #include "casc/sim/machine.hpp"
 
 namespace casc::test {
+
+/// FNV-1a offset basis: the starting value of an empty checksum.
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// Folds `bytes` bytes at `p` into the FNV-1a hash `hash`.  An independent
+/// restatement of the checksum exec's rw_checksum() computes, so tests can
+/// pin its value instead of only comparing two runs of it.
+inline std::uint64_t fnv1a(std::uint64_t hash, const std::byte* p,
+                           std::uint64_t bytes) {
+  for (std::uint64_t b = 0; b < bytes; ++b) {
+    hash = (hash ^ static_cast<std::uint64_t>(p[b])) * 0x100000001b3ull;
+  }
+  return hash;
+}
 
 /// A scaled-down two-level machine: L1 = 1 KB 2-way, L2 = 16 KB 2-way,
 /// 32-byte lines, Pentium-Pro-like latencies.  Loops of a few tens of KB are
