@@ -3,6 +3,9 @@
 // jump-out, helper-time models, and start states.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "casc/cascade/engine.hpp"
 #include "casc/common/check.hpp"
 #include "casc/synth/synthetic_loop.hpp"
@@ -292,22 +295,29 @@ TEST(EngineSynthetic, SparseLoopIsMoreMemoryBoundThanDense) {
 }
 
 // Parameterized sweep: the engine's invariants hold across helper kinds,
-// processor counts, and chunk sizes.
+// processor counts, and chunk sizes.  gtest names each case by the
+// parameter's object bytes, so the struct spells out the bytes after the
+// one-byte `helper` instead of leaving them as padding: uninitialized
+// padding made the case names change from run to run.
 struct EngineParams {
   HelperKind helper;
+  std::uint8_t reserved[3] = {};
   unsigned procs;
   std::uint64_t chunk_bytes;
 };
+static_assert(std::has_unique_object_representations_v<EngineParams>,
+              "every byte gtest prints must be initialized");
 
 class EngineSweep : public ::testing::TestWithParam<EngineParams> {};
 
 TEST_P(EngineSweep, InvariantsHold) {
-  const auto [helper, procs, chunk_bytes] = GetParam();
-  CascadeSimulator sim(mini_machine(procs));
+  const EngineParams& p = GetParam();
+  const HelperKind helper = p.helper;
+  CascadeSimulator sim(mini_machine(p.procs));
   const LoopNest nest = big_stream();
   CascadeOptions opt;
   opt.helper = helper;
-  opt.chunk_bytes = chunk_bytes;
+  opt.chunk_bytes = p.chunk_bytes;
   const CascadeResult r = sim.run_cascaded(nest, opt);
 
   EXPECT_EQ(r.total_cycles, r.exec_cycles + r.transfer_cycles + r.stall_cycles);
@@ -330,13 +340,14 @@ TEST_P(EngineSweep, InvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, EngineSweep,
-    ::testing::Values(EngineParams{HelperKind::kNone, 1, 2048},
-                      EngineParams{HelperKind::kNone, 4, 4096},
-                      EngineParams{HelperKind::kPrefetch, 2, 2048},
-                      EngineParams{HelperKind::kPrefetch, 4, 4096},
-                      EngineParams{HelperKind::kPrefetch, 8, 16384},
-                      EngineParams{HelperKind::kRestructure, 2, 2048},
-                      EngineParams{HelperKind::kRestructure, 4, 4096},
-                      EngineParams{HelperKind::kRestructure, 8, 16384}));
+    ::testing::Values(
+        EngineParams{.helper = HelperKind::kNone, .procs = 1, .chunk_bytes = 2048},
+        EngineParams{.helper = HelperKind::kNone, .procs = 4, .chunk_bytes = 4096},
+        EngineParams{.helper = HelperKind::kPrefetch, .procs = 2, .chunk_bytes = 2048},
+        EngineParams{.helper = HelperKind::kPrefetch, .procs = 4, .chunk_bytes = 4096},
+        EngineParams{.helper = HelperKind::kPrefetch, .procs = 8, .chunk_bytes = 16384},
+        EngineParams{.helper = HelperKind::kRestructure, .procs = 2, .chunk_bytes = 2048},
+        EngineParams{.helper = HelperKind::kRestructure, .procs = 4, .chunk_bytes = 4096},
+        EngineParams{.helper = HelperKind::kRestructure, .procs = 8, .chunk_bytes = 16384}));
 
 }  // namespace
