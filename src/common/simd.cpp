@@ -230,8 +230,14 @@ void clear_forced_tier() noexcept {
 }
 
 // ---- dispatchers -----------------------------------------------------------
-// One relaxed load + switch per call; every call site hands the kernels a
-// whole run (hundreds to thousands of elements), so dispatch cost is noise.
+// One relaxed load + switch per call, so a call pays off only over a batch.
+// The callers: RestructuredLoop's IndexedGather staging (gather_index_*, one
+// call per staged block), WriteCursor::push_n (stream_copy), and the
+// benchmarks and tests that time or check the kernels themselves
+// (bench_rt_kernels, perfbench's simd.gather_gbps probe, simd_kernel_test).
+// The exec bridge's restructuring helper does not call them: its staged
+// stream interleaves arrays, so a same-array run is often one value long,
+// and it loads each value with one plain load instead.
 
 void gather_offsets_u64(const std::byte* base, const std::uint64_t* offsets,
                         std::size_t n, std::uint64_t* out) noexcept {

@@ -7,7 +7,6 @@
 
 #include "casc/analysis/verifier.hpp"
 #include "casc/common/check.hpp"
-#include "casc/common/simd.hpp"
 #include "casc/common/stopwatch.hpp"
 #include "casc/rt/fault_injection.hpp"
 #include "casc/rt/helpers.hpp"
@@ -19,19 +18,47 @@ namespace {
 // ---- interpretation kernels ------------------------------------------------
 //
 // One generic interpreter plus kernels fused per operand-class shape.  The
-// generic form re-branches on every ResolvedRef (is it a write? is it
-// staged?); for the common uniform bodies the classification already lives in
-// MaterializedLoop::body_shape(), so the dispatch happens ONCE per span and
-// the inner loops below touch only what their shape needs — the all-staged
-// kernel never reads the ResolvedRef table at all.  Every kernel implements
-// the same semantics (see materialize.hpp), so digests are bit-identical
-// across kernels, helper modes, and SIMD tiers.
+// generic form re-branches on every ResolvedRef (is it a write?) and runs
+// every chunk that has no staged stream: the reference, the prefetch mode,
+// and unstaged or reclaimed chunks.  A staged chunk runs a fused kernel
+// instead: it takes each slot's kind, array and width from the body's slot
+// table (MaterializedLoop::body_shape()), its staged values from the
+// helper's buffer, and its other byte offsets from the loop's compact direct
+// stream, so it never reads a ResolvedRef.  Every kernel implements the same
+// semantics (see materialize.hpp), so digests are bit-identical across
+// kernels, helper modes, and SIMD tiers.
 
-/// Generic reference interpreter.  `staged` non-null: consume the next staged
-/// value for each staged read (the helper gathered them in stream order).
+/// Little-endian load of `width` (1..8) bytes, zero-extended — exactly
+/// MaterializedLoop::load()'s semantics, as one fixed-size load per width.
+/// load() and store() keep their variable-length copies, so the generic
+/// interpreter (and with it the sequential reference) keeps its speed.
+std::uint64_t load_width(const std::byte* p, unsigned width) noexcept {
+  std::uint64_t v = 0;
+  switch (width) {
+    case 8: std::memcpy(&v, p, 8); break;
+    case 4: std::memcpy(&v, p, 4); break;
+    case 2: std::memcpy(&v, p, 2); break;
+    case 1: std::memcpy(&v, p, 1); break;
+    default: std::memcpy(&v, p, width); break;
+  }
+  return v;
+}
+
+/// Little-endian store of the low `width` (1..8) bytes — exactly
+/// MaterializedLoop::store()'s semantics.
+void store_width(std::byte* p, std::uint64_t value, unsigned width) noexcept {
+  switch (width) {
+    case 8: std::memcpy(p, &value, 8); break;
+    case 4: std::memcpy(p, &value, 4); break;
+    case 2: std::memcpy(p, &value, 2); break;
+    case 1: std::memcpy(p, &value, 1); break;
+    default: std::memcpy(p, &value, width); break;
+  }
+}
+
+/// Generic reference interpreter, straight from the arrays.
 std::uint64_t interpret_generic(MaterializedLoop& loop, std::uint64_t begin,
-                                std::uint64_t end, std::uint64_t acc,
-                                const std::uint64_t* staged) {
+                                std::uint64_t end, std::uint64_t acc) {
   for (std::uint64_t it = begin; it < end; ++it) {
     for (const ResolvedRef* ref = loop.refs_begin(it); ref != loop.refs_end(it);
          ++ref) {
@@ -40,13 +67,7 @@ std::uint64_t interpret_generic(MaterializedLoop& loop, std::uint64_t begin,
         loop.store(*ref, w);
         acc = w;
       } else {
-        std::uint64_t v;
-        if (staged != nullptr && ref->staged) {
-          v = *staged++;
-        } else {
-          v = loop.load(*ref);
-        }
-        acc = MaterializedLoop::mix(acc, v);
+        acc = MaterializedLoop::mix(acc, loop.load(*ref));
       }
     }
   }
@@ -54,7 +75,7 @@ std::uint64_t interpret_generic(MaterializedLoop& loop, std::uint64_t begin,
 }
 
 /// Fused: every reference is a staged read.  Pure mix-fold over the dense
-/// staged span — no ResolvedRef traffic, no branches, the exact loop the
+/// staged span — no address traffic, no branches, the exact loop the
 /// hardware stream prefetcher is built for.
 std::uint64_t interpret_reads_only(std::uint64_t begin, std::uint64_t end,
                                    std::uint64_t acc,
@@ -68,79 +89,118 @@ std::uint64_t interpret_reads_only(std::uint64_t begin, std::uint64_t end,
 }
 
 /// Fused: R staged reads then exactly one trailing write per iteration (the
-/// dense_sum / gather_split shape).  Only the write slot's ResolvedRef is
-/// touched.
+/// dense_sum / gather_split shape).  The write's offsets are the direct
+/// stream itself, one per iteration.
 std::uint64_t interpret_reads_then_write(MaterializedLoop& loop,
                                          std::uint64_t begin, std::uint64_t end,
                                          std::uint64_t acc,
-                                         const std::uint64_t* staged,
-                                         std::uint32_t reads) {
+                                         const std::uint64_t* staged) {
+  const BodyShape& shape = loop.body_shape();
+  const std::uint32_t reads = shape.staged_reads;
+  const BodySlot w = shape.slots.back();
+  std::byte* const base = loop.array_data(w.array);
+  const std::uint64_t* off = loop.direct_offsets() + loop.direct_refs_before(begin);
   for (std::uint64_t it = begin; it < end; ++it) {
     for (std::uint32_t r = 0; r < reads; ++r) {
       acc = MaterializedLoop::mix(acc, *staged++);
     }
-    const ResolvedRef& w = *(loop.refs_end(it) - 1);
     const std::uint64_t wv = MaterializedLoop::mix(acc, it);
-    loop.store(w, wv);
+    store_width(base + *off++, wv, w.width);
     acc = wv;
   }
   return acc;
 }
 
-/// Fused: arbitrary uniform slot sequence, driven from the precomputed shape
-/// table instead of per-ref flag bytes (the spmv shape: staged reads mixed
-/// with plain reads and writes).
+/// Fused: any slot sequence, driven from the slot table (the spmv shape:
+/// staged reads mixed with plain reads and writes).  Plain reads and writes
+/// consume the direct stream in slot order.
 std::uint64_t interpret_uniform(MaterializedLoop& loop, std::uint64_t begin,
                                 std::uint64_t end, std::uint64_t acc,
-                                const std::uint64_t* staged,
-                                const std::vector<SlotKind>& slots) {
+                                const std::uint64_t* staged) {
+  const std::vector<BodySlot>& slots = loop.body_shape().slots;
+  const std::uint64_t* off = loop.direct_offsets() + loop.direct_refs_before(begin);
   for (std::uint64_t it = begin; it < end; ++it) {
-    const ResolvedRef* ref = loop.refs_begin(it);
-    for (const SlotKind kind : slots) {
-      switch (kind) {
+    for (const BodySlot& slot : slots) {
+      switch (slot.kind) {
         case SlotKind::kStagedRead:
           acc = MaterializedLoop::mix(acc, *staged++);
           break;
         case SlotKind::kPlainRead:
-          acc = MaterializedLoop::mix(acc, loop.load(*ref));
+          acc = MaterializedLoop::mix(
+              acc, load_width(loop.array_data(slot.array) + *off++, slot.width));
           break;
         case SlotKind::kWrite: {
           const std::uint64_t w = MaterializedLoop::mix(acc, it);
-          loop.store(*ref, w);
+          store_width(loop.array_data(slot.array) + *off++, w, slot.width);
           acc = w;
           break;
         }
       }
-      ++ref;
     }
   }
   return acc;
 }
 
-/// Interprets iterations [begin, end) against real storage, continuing from
-/// `acc`.  `staged` non-null: the chunk's staged operand values, gathered by
-/// the helper in stream order.  Dispatches once to the best kernel the body
-/// shape admits.
-std::uint64_t interpret_span(MaterializedLoop& loop, std::uint64_t begin,
-                             std::uint64_t end, std::uint64_t acc,
-                             const std::uint64_t* staged) {
-  if (staged != nullptr) {
-    const BodyShape& shape = loop.body_shape();
-    if (shape.uniform && shape.plain_reads == 0) {
-      if (shape.writes == 0) {
-        return interpret_reads_only(begin, end, acc, staged,
-                                    shape.staged_reads);
-      }
-      if (shape.writes == 1 && shape.slots.back() == SlotKind::kWrite) {
-        return interpret_reads_then_write(loop, begin, end, acc, staged,
-                                          shape.staged_reads);
-      }
-    }
-    if (shape.uniform) {
-      return interpret_uniform(loop, begin, end, acc, staged, shape.slots);
+/// Interprets the staged chunk [begin, end) against real storage, continuing
+/// from `acc`.  `staged` holds the chunk's staged operand values, gathered
+/// by the helper in stream order.  Dispatches once to the best kernel the
+/// body shape admits.
+std::uint64_t interpret_staged(MaterializedLoop& loop, std::uint64_t begin,
+                               std::uint64_t end, std::uint64_t acc,
+                               const std::uint64_t* staged) {
+  const BodyShape& shape = loop.body_shape();
+  if (shape.plain_reads == 0 && shape.writes == 0) {
+    return interpret_reads_only(begin, end, acc, staged, shape.staged_reads);
+  }
+  if (shape.plain_reads == 0 && shape.writes == 1 &&
+      shape.slots.back().kind == SlotKind::kWrite) {
+    return interpret_reads_then_write(loop, begin, end, acc, staged);
+  }
+  return interpret_uniform(loop, begin, end, acc, staged);
+}
+
+// ---- helper phases ---------------------------------------------------------
+
+/// The restructuring helper's gather, shared by the single-loop and the
+/// chain engine: stages the staged operand values of iterations [begin, end)
+/// into `out`, in stream order.  Each value is one plain load at its staged
+/// slot's array and width.  Returns false (leaving `out` partially written)
+/// when the token watch signals a jump-out; it is polled at least every
+/// kPoll values.
+bool gather_staged(const MaterializedLoop& loop, std::uint64_t begin,
+                   std::uint64_t end, std::uint64_t* out,
+                   const rt::TokenWatch& watch) {
+  constexpr std::uint64_t kPoll = 1024;  // staged values between token polls
+  const BodySlot* const table = loop.body_shape().staged.data();
+  const std::size_t slots = loop.body_shape().staged.size();
+  const std::uint64_t* offs = loop.staged_offsets();
+  std::uint64_t p = loop.staged_refs_before(begin);
+  const std::uint64_t p1 = loop.staged_refs_before(end);
+  std::size_t s = 0;  // staged slot of entry p; begin is iteration-aligned
+  while (p < p1) {
+    if (watch.signalled()) return false;
+    const std::uint64_t block_end = std::min(p1, p + kPoll);
+    for (; p < block_end; ++p) {
+      const BodySlot& slot = table[s];
+      *out++ = load_width(loop.array_data(slot.array) + offs[p], slot.width);
+      if (++s == slots) s = 0;
     }
   }
-  return interpret_generic(loop, begin, end, acc, staged);
+  return true;
+}
+
+/// The prefetch helper, shared by both engines: touches every operand line
+/// of iterations [begin, end), polling the token watch every 64 iterations.
+bool prefetch_span(const MaterializedLoop& loop, std::uint64_t begin,
+                   std::uint64_t end, const rt::TokenWatch& watch) {
+  for (std::uint64_t it = begin; it < end; ++it) {
+    if ((it & 0x3f) == 0 && watch.signalled()) return false;
+    for (const ResolvedRef* ref = loop.refs_begin(it); ref != loop.refs_end(it);
+         ++ref) {
+      rt::force_load(loop.addr(*ref));
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -210,8 +270,8 @@ ExecResult reference_no_reset(MaterializedLoop& loop) {
   result.total_iters = loop.num_iterations();
   result.iters_per_chunk = result.total_iters;
   common::Stopwatch watch;
-  result.digest = interpret_span(loop, 0, result.total_iters,
-                                 MaterializedLoop::kAccSeed, nullptr);
+  result.digest = interpret_generic(loop, 0, result.total_iters,
+                                    MaterializedLoop::kAccSeed);
   result.seconds = watch.elapsed_seconds();
   return result;
 }
@@ -265,12 +325,12 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
   std::unique_ptr<rt::PerWorkerBuffers> buffers_owned;
   if (opt.helper == HelperMode::kRestructure) {
     // Prove the geometry this run executes, before sizing: the first proof
-    // may restage what a certificate re-enables (growing
-    // max_staged_per_iter), so the buffers are sized after it.
+    // may restage what a certificate re-enables (adding staged slots), so
+    // the buffers are sized after it.
     gate = ring_gate(loop.restructure_proof(ipc, &result.gate_seconds),
                      executor.num_threads(), nullptr);
-    const std::uint64_t capacity =
-        std::max<std::uint64_t>(64, loop.max_staged_per_iter() * ipc * 8);
+    const std::uint64_t capacity = std::max<std::uint64_t>(
+        64, std::uint64_t{loop.body_shape().staged_reads} * ipc * 8);
     buffers_owned = std::make_unique<rt::PerWorkerBuffers>(
         executor.num_threads(), capacity, ipc, opt.lookahead);
     buffers = buffers_owned.get();
@@ -287,22 +347,15 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
         chunk_staged[c] != 0) {
       auto cursor = buffers->for_chunk_index(c).read_cursor<std::uint64_t>(
           staged_in(begin, end));
-      acc = interpret_span(loop, begin, end, acc, cursor.data());
+      acc = interpret_staged(loop, begin, end, acc, cursor.data());
     } else {
-      acc = interpret_span(loop, begin, end, acc, nullptr);
+      acc = interpret_generic(loop, begin, end, acc);
     }
   };
 
   auto prefetch_helper = [&](std::uint64_t begin, std::uint64_t end,
                              const rt::TokenWatch& watch) -> bool {
-    for (std::uint64_t it = begin; it < end; ++it) {
-      if ((it & 0x3f) == 0 && watch.signalled()) return false;
-      for (const ResolvedRef* ref = loop.refs_begin(it); ref != loop.refs_end(it);
-           ++ref) {
-        rt::force_load(loop.addr(*ref));
-      }
-    }
-    return true;
+    return prefetch_span(loop, begin, end, watch);
   };
 
   auto restructure_helper = [&](std::uint64_t begin, std::uint64_t end,
@@ -310,41 +363,14 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
     const std::uint64_t c = begin / ipc;
     rt::SequentialBuffer& buf = buffers->for_chunk_index(c);
     buf.reset();
-    // Walk the SoA staged stream for this chunk instead of the interleaved
-    // ResolvedRef records: runs of same-array full-word references become one
-    // SIMD gather call each, with the byte offsets as the index vector.
-    const std::uint64_t p1 = loop.staged_refs_before(end);
-    std::uint64_t p = loop.staged_refs_before(begin);
-    auto cursor = buf.write_cursor<std::uint64_t>(p1 - p);
-    const std::uint64_t* offs = loop.staged_offsets();
-    const std::uint32_t* arrs = loop.staged_arrays();
-    const std::uint8_t* sizes = loop.staged_sizes();
-    constexpr std::uint64_t kPoll = 1024;  // staged refs between token polls
-    while (p < p1) {
-      // Abandoning the uncommitted cursor discards the partial staging; the
-      // execution phase falls back to gathering from the arrays.
-      if (watch.signalled()) return false;
-      const std::uint64_t block_end = std::min(p1, p + kPoll);
-      while (p < block_end) {
-        const std::uint32_t a = arrs[p];
-        if (sizes[p] == 8) {
-          std::uint64_t q = p + 1;
-          while (q < block_end && arrs[q] == a && sizes[q] == 8) ++q;
-          common::simd::gather_offsets_u64(loop.array_data(a), offs + p, q - p,
-                                           cursor.reserve_span(q - p));
-          cursor.advance(q - p);
-          p = q;
-        } else {
-          // Narrow element: zero-extended little-endian load, exactly
-          // MaterializedLoop::load()'s semantics.
-          std::uint64_t v = 0;
-          std::memcpy(&v, loop.array_data(a) + offs[p],
-                      std::min<std::size_t>(sizes[p], 8));
-          cursor.push(v);
-          ++p;
-        }
-      }
+    const std::uint64_t n = staged_in(begin, end);
+    auto cursor = buf.write_cursor<std::uint64_t>(n);
+    // Abandoning the uncommitted cursor discards the partial staging; the
+    // execution phase falls back to loading from the arrays.
+    if (!gather_staged(loop, begin, end, cursor.reserve_span(n), watch)) {
+      return false;
     }
+    cursor.advance(n);
     cursor.commit();
     chunk_staged[c] = 1;
     return true;
@@ -500,53 +526,24 @@ ExecResult run_stage_arena(MaterializedLoop& loop,
         staged = staged_base + loop.staged_refs_before(begin);
       }
     }
-    acc = interpret_span(loop, begin, end, acc, staged);
+    acc = staged != nullptr ? interpret_staged(loop, begin, end, acc, staged)
+                            : interpret_generic(loop, begin, end, acc);
   };
 
   auto prefetch_helper = [&](std::uint64_t begin, std::uint64_t end,
                              const rt::TokenWatch& watch) -> bool {
-    for (std::uint64_t it = begin; it < end; ++it) {
-      if ((it & 0x3f) == 0 && watch.signalled()) return false;
-      for (const ResolvedRef* ref = loop.refs_begin(it); ref != loop.refs_end(it);
-           ++ref) {
-        rt::force_load(loop.addr(*ref));
-      }
-    }
-    return true;
+    return prefetch_span(loop, begin, end, watch);
   };
 
   auto arena_helper = [&](std::uint64_t begin, std::uint64_t end,
                           const rt::TokenWatch& watch) -> bool {
-    const std::uint64_t c = begin / ipc;
-    const std::uint64_t p1 = loop.staged_refs_before(end);
-    std::uint64_t p = loop.staged_refs_before(begin);
-    const std::uint64_t* offs = loop.staged_offsets();
-    const std::uint32_t* arrs = loop.staged_arrays();
-    const std::uint8_t* sizes = loop.staged_sizes();
-    constexpr std::uint64_t kPoll = 1024;  // staged refs between token polls
-    while (p < p1) {
-      // A jump-out abandons the partially gathered chunk; its commit flag
-      // stays clear and execution falls back to direct array loads.
-      if (watch.signalled()) return false;
-      const std::uint64_t block_end = std::min(p1, p + kPoll);
-      while (p < block_end) {
-        const std::uint32_t a = arrs[p];
-        if (sizes[p] == 8) {
-          std::uint64_t q = p + 1;
-          while (q < block_end && arrs[q] == a && sizes[q] == 8) ++q;
-          common::simd::gather_offsets_u64(loop.array_data(a), offs + p, q - p,
-                                           staged_base + p);
-          p = q;
-        } else {
-          std::uint64_t v = 0;
-          std::memcpy(&v, loop.array_data(a) + offs[p],
-                      std::min<std::size_t>(sizes[p], 8));
-          staged_base[p] = v;
-          ++p;
-        }
-      }
+    // A jump-out abandons the partially gathered chunk; its commit flag
+    // stays clear and execution falls back to direct array loads.
+    if (!gather_staged(loop, begin, end,
+                       staged_base + loop.staged_refs_before(begin), watch)) {
+      return false;
     }
-    chunk_staged[c] = 1;
+    chunk_staged[begin / ipc] = 1;
     return true;
   };
 

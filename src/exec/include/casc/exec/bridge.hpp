@@ -15,9 +15,15 @@
 //                  polling the token watch to jump out;
 //   * restructure: stage every proven-read-only operand VALUE of the coming
 //                  chunk into the worker's rt::SequentialBuffer (uncommitted
-//                  write cursor, so a jump-out leaves the buffer untouched);
+//                  write cursor, so a jump-out leaves the buffer untouched)
+//                  or the pipeline's arena, one plain load per value at its
+//                  slot's array and width (MaterializedLoop::body_shape());
 //                  the execution phase then drains values strictly
-//                  sequentially instead of gathering them.
+//                  sequentially instead of gathering them, and takes its
+//                  remaining load and store addresses from the loop's
+//                  compact direct offset stream.
+// The reference, the prefetch mode and every chunk that was not staged run
+// the generic interpreter over the resolved ResolvedRef stream.
 #pragma once
 
 #include <cstdint>

@@ -49,29 +49,41 @@ namespace casc::exec {
 struct ResolvedRef {
   std::uint64_t offset = 0;   ///< byte offset within the array's storage
   std::uint32_t array = 0;    ///< loopir::ArrayId
-  std::uint8_t size = 0;      ///< element bytes
+  /// Bytes every path moves: min(elem_size, 8).
+  std::uint8_t size = 0;
   bool is_write = false;
   /// Read of a proven-read-only operand (including index loads): the
   /// restructuring helper may stage its value ahead of execution.
   bool staged = false;
 };
 
-/// Operand class of one reference slot of a uniform loop body, in body order.
+/// Operand class of one reference slot of the loop body, in body order.
 enum class SlotKind : std::uint8_t {
   kStagedRead = 0,  ///< proven-read-only load; the helper may stage it
   kPlainRead = 1,   ///< load that must hit the arrays at execution time
   kWrite = 2,       ///< store (always executed in place)
 };
 
-/// Operand-class shape of the loop body, computed once from the resolved
-/// stream.  When `uniform` every iteration issues the same slot sequence, so
-/// the interpreter can dispatch ONCE per span to a kernel fused for that
-/// sequence instead of re-branching on every ResolvedRef (bridge.cpp).  The
-/// classification is re-derived when a proof restages the loop.
+/// One reference slot of the loop body: its operand class and where it
+/// points.  Every iteration's slot `s` has this kind, array and width; only
+/// the byte offset varies.
+struct BodySlot {
+  SlotKind kind = SlotKind::kPlainRead;
+  std::uint8_t width = 0;     ///< bytes moved, ResolvedRef::size
+  std::uint32_t array = 0;    ///< loopir::ArrayId
+  bool operator==(const BodySlot&) const = default;
+};
+
+/// The loop body's slot table.  LoopNest::refs_for_iteration emits the same
+/// slot sequence in every iteration, and a restage flips whole slots, so one
+/// table describes every iteration: a staged chunk is gathered and executed
+/// from it plus the two offset streams (the staged one and the direct one),
+/// never from the ResolvedRef records (bridge.cpp).  Re-derived when a proof
+/// restages the loop; empty for a loop without iterations.
 struct BodyShape {
-  bool uniform = false;             ///< every iteration has the same slots
-  std::vector<SlotKind> slots;      ///< the per-iteration sequence (if uniform)
-  std::uint32_t staged_reads = 0;   ///< slot counts by kind (if uniform)
+  std::vector<BodySlot> slots;    ///< one iteration's slots, in body order
+  std::vector<BodySlot> staged;   ///< the kStagedRead slots alone, in order
+  std::uint32_t staged_reads = 0;  ///< slot counts by kind
   std::uint32_t plain_reads = 0;
   std::uint32_t writes = 0;
 };
@@ -155,27 +167,23 @@ class MaterializedLoop {
     return refs_.data() + iter_offsets_[it + 1];
   }
 
-  /// Number of stageable references among iterations [0, it) — prefix sums
-  /// that size per-chunk staging exactly.
-  [[nodiscard]] std::uint64_t staged_refs_before(std::uint64_t it) const noexcept {
-    return staged_prefix_[it];
-  }
-  [[nodiscard]] std::uint64_t max_staged_per_iter() const noexcept {
-    return max_staged_per_iter_;
-  }
-
   /// Operand-class shape of the body (see BodyShape).
   [[nodiscard]] const BodyShape& body_shape() const noexcept { return shape_; }
 
-  // ---- staged operand stream (SoA) ----------------------------------------
+  // ---- offset streams -----------------------------------------------------
   //
-  // The staged references of the whole loop, in stream order, as parallel
-  // arrays.  The restructuring helper walks these instead of the interleaved
-  // ResolvedRef records: runs of same-array 8-byte entries feed the SIMD
-  // gather kernels (common/simd.hpp) directly, offsets as the gather index
-  // vector.  Entry p covers the p'th staged reference; iteration `it` owns
-  // entries [staged_refs_before(it), staged_refs_before(it + 1)).
+  // The byte offsets of the whole loop's references, split by slot class and
+  // kept in stream order.  The staged stream holds the staged reads: the
+  // restructuring helper loads entry p at its staged slot's array and width,
+  // and iteration `it` owns entries [staged_refs_before(it),
+  // staged_refs_before(it + 1)).  The direct stream holds everything else
+  // (plain reads and writes), which a staged chunk's execution phase
+  // addresses the same way.  staged_arrays() / staged_sizes() spell each
+  // staged entry's slot out in full, for tools that walk the stream alone.
 
+  [[nodiscard]] std::uint64_t staged_refs_before(std::uint64_t it) const noexcept {
+    return it * shape_.staged_reads;
+  }
   [[nodiscard]] const std::uint64_t* staged_offsets() const noexcept {
     return staged_offsets_.data();
   }
@@ -189,6 +197,16 @@ class MaterializedLoop {
     return staged_offsets_.size();
   }
 
+  [[nodiscard]] std::uint64_t direct_refs_before(std::uint64_t it) const noexcept {
+    return it * (shape_.plain_reads + shape_.writes);
+  }
+  [[nodiscard]] const std::uint64_t* direct_offsets() const noexcept {
+    return direct_offsets_.data();
+  }
+  [[nodiscard]] std::uint64_t direct_refs_total() const noexcept {
+    return direct_offsets_.size();
+  }
+
   // ---- interpreter building blocks ---------------------------------------
 
   [[nodiscard]] const std::byte* addr(const ResolvedRef& ref) const noexcept {
@@ -196,9 +214,12 @@ class MaterializedLoop {
   }
 
   /// Base pointer of one array's backing storage (cache-line or huge-page
-  /// aligned per the common allocation policy) — the SIMD gather kernels'
-  /// base operand.  Loop-owned or externally bound, transparently.
+  /// aligned per the common allocation policy).  Loop-owned or externally
+  /// bound, transparently.
   [[nodiscard]] const std::byte* array_data(loopir::ArrayId id) const noexcept {
+    return data_[id];
+  }
+  [[nodiscard]] std::byte* array_data(loopir::ArrayId id) noexcept {
     return data_[id];
   }
 
@@ -228,9 +249,9 @@ class MaterializedLoop {
   /// certificate, not the claim, is the safety argument.  proofs_mutex_
   /// held.
   void restage(const std::vector<std::string>& certified) const;
-  /// Rebuilds everything derived from the staged flags: the per-iteration
-  /// prefix sums, the SoA staged stream, and the body shape.  Called after
-  /// resolve_stream() and by restage().
+  /// Rebuilds everything derived from the staged flags: the body shape and
+  /// both offset streams.  Checks that every iteration matches the slot
+  /// table.  Called after resolve_stream() and by restage().
   void rebuild_staged_stream() const;
 
   loopir::LoopSpec spec_;
@@ -244,12 +265,11 @@ class MaterializedLoop {
   // first certifying proof — reached through const gate queries — restages
   // them once; they are frozen from then on.
   mutable std::vector<ResolvedRef> refs_;        // flat, iteration-major
-  mutable std::vector<std::uint64_t> staged_prefix_;  // num_iterations + 1
-  mutable std::uint64_t max_staged_per_iter_ = 0;
-  mutable std::vector<std::uint64_t> staged_offsets_;  // SoA staged stream
+  mutable BodyShape shape_;
+  mutable std::vector<std::uint64_t> staged_offsets_;  // staged stream
   mutable std::vector<std::uint32_t> staged_arrays_;
   mutable std::vector<std::uint8_t> staged_sizes_;
-  mutable BodyShape shape_;
+  mutable std::vector<std::uint64_t> direct_offsets_;  // direct stream
   // Write-once proofs, one per executed chunk geometry (iterations per
   // chunk); std::map keeps handed-out references stable.
   mutable std::mutex proofs_mutex_;

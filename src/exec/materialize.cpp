@@ -13,9 +13,10 @@ namespace casc::exec {
 
 namespace {
 
-/// Materialization cap: the resolved stream costs 16 bytes per reference, so
-/// this bounds the bridge at ~256 MB of stream — far above every spec in the
-/// tree, far below anything that could take the host down.
+/// Materialization cap: the resolved stream costs 16 bytes per reference and
+/// the offset streams 8 to 13 more, so this bounds the bridge at ~480 MB of
+/// streams — far above every spec in the tree, far below anything that could
+/// take the host down.
 constexpr std::uint64_t kMaxResolvedRefs = 1ull << 24;
 
 /// The rules a race certificate may overturn: the claims said read-only, and
@@ -201,7 +202,9 @@ void MaterializedLoop::resolve_stream() {
       ResolvedRef resolved;
       resolved.offset = ref.mem.addr - region.base;
       resolved.array = region.id;
-      resolved.size = static_cast<std::uint8_t>(ref.mem.size);
+      // Only the low min(elem_size, 8) bytes of an element are ever moved.
+      resolved.size =
+          static_cast<std::uint8_t>(std::min<std::uint64_t>(ref.mem.size, 8));
       resolved.is_write = ref.mem.type == sim::AccessType::kWrite;
       resolved.staged = !resolved.is_write &&
                         (ref.read_only_operand || ref.is_index_load);
@@ -216,49 +219,51 @@ void MaterializedLoop::resolve_stream() {
 
 void MaterializedLoop::rebuild_staged_stream() const {
   const std::uint64_t iters = num_iterations();
-  staged_prefix_.assign(iters + 1, 0);
+  shape_ = BodyShape{};
   staged_offsets_.clear();
   staged_arrays_.clear();
   staged_sizes_.clear();
-  max_staged_per_iter_ = 0;
-  shape_ = BodyShape{};
-  shape_.uniform = iters > 0;
-  for (std::uint64_t it = 0; it < iters; ++it) {
-    std::uint64_t staged_here = 0;
-    const std::uint64_t body_len = iter_offsets_[it + 1] - iter_offsets_[it];
-    if (shape_.uniform && it > 0 && body_len != shape_.slots.size()) {
-      shape_.uniform = false;
+  direct_offsets_.clear();
+  if (iters == 0) return;
+
+  auto slot_of = [](const ResolvedRef& ref) {
+    const SlotKind kind = ref.is_write ? SlotKind::kWrite
+                          : ref.staged ? SlotKind::kStagedRead
+                                       : SlotKind::kPlainRead;
+    return BodySlot{kind, ref.size, ref.array};
+  };
+  for (const ResolvedRef* ref = refs_begin(0); ref != refs_end(0); ++ref) {
+    const BodySlot slot = slot_of(*ref);
+    shape_.slots.push_back(slot);
+    switch (slot.kind) {
+      case SlotKind::kStagedRead:
+        shape_.staged.push_back(slot);
+        ++shape_.staged_reads;
+        break;
+      case SlotKind::kPlainRead: ++shape_.plain_reads; break;
+      case SlotKind::kWrite: ++shape_.writes; break;
     }
-    for (std::uint64_t r = iter_offsets_[it]; r < iter_offsets_[it + 1]; ++r) {
-      const ResolvedRef& ref = refs_[r];
+  }
+
+  const std::size_t body_len = shape_.slots.size();
+  staged_offsets_.reserve(iters * shape_.staged_reads);
+  staged_arrays_.reserve(iters * shape_.staged_reads);
+  staged_sizes_.reserve(iters * shape_.staged_reads);
+  direct_offsets_.reserve(iters * (body_len - shape_.staged_reads));
+  for (std::uint64_t it = 0; it < iters; ++it) {
+    CASC_CHECK(iter_offsets_[it + 1] - iter_offsets_[it] == body_len,
+               "iteration body length differs from the slot table");
+    for (std::size_t s = 0; s < body_len; ++s) {
+      const ResolvedRef& ref = refs_[iter_offsets_[it] + s];
+      CASC_CHECK(slot_of(ref) == shape_.slots[s],
+                 "iteration slot differs from the slot table");
       if (ref.staged) {
         staged_offsets_.push_back(ref.offset);
         staged_arrays_.push_back(ref.array);
         staged_sizes_.push_back(ref.size);
-        ++staged_here;
+      } else {
+        direct_offsets_.push_back(ref.offset);
       }
-      const SlotKind kind = ref.is_write  ? SlotKind::kWrite
-                            : ref.staged  ? SlotKind::kStagedRead
-                                          : SlotKind::kPlainRead;
-      if (it == 0) {
-        shape_.slots.push_back(kind);
-      } else if (shape_.uniform &&
-                 shape_.slots[r - iter_offsets_[it]] != kind) {
-        shape_.uniform = false;
-      }
-    }
-    max_staged_per_iter_ = std::max(max_staged_per_iter_, staged_here);
-    staged_prefix_[it + 1] = staged_prefix_[it] + staged_here;
-  }
-  if (!shape_.uniform) {
-    shape_.slots.clear();
-    return;
-  }
-  for (const SlotKind kind : shape_.slots) {
-    switch (kind) {
-      case SlotKind::kStagedRead: ++shape_.staged_reads; break;
-      case SlotKind::kPlainRead: ++shape_.plain_reads; break;
-      case SlotKind::kWrite: ++shape_.writes; break;
     }
   }
 }

@@ -130,6 +130,59 @@ TEST(ExecBridge, NonDefaultChunkGeometryStillMatches) {
   }
 }
 
+// Elements of 256 bytes or more: every path moves min(elem_size, 8) bytes,
+// so a 260-byte rw element and a 256-byte ro element resolve to 8-byte
+// references (a width truncated to one byte would read 4 and 0).
+constexpr const char* kWideElements = R"(
+loop wide_elements
+trip 96
+compute 4 3
+layout conflicting
+array y 260 16 rw
+array z 256 8 ro
+array a 8 96 ro
+access a read
+access z read stride 3
+access y read
+access y write
+)";
+
+TEST(ExecBridge, WideElementsMoveEightBytesOnEveryPath) {
+  exec::MaterializedLoop loop(loopir::LoopSpec::parse(kWideElements));
+  for (const exec::ResolvedRef* ref = loop.refs_begin(0); ref != loop.refs_end(0);
+       ++ref) {
+    EXPECT_EQ(8u, ref->size) << "array " << ref->array;
+  }
+  const exec::BodyShape& shape = loop.body_shape();
+  ASSERT_EQ(4u, shape.slots.size());
+  for (const exec::BodySlot& slot : shape.slots) {
+    EXPECT_EQ(8u, slot.width) << loop.nest().array(slot.array).name;
+  }
+  EXPECT_EQ(260u, loop.nest().array(shape.slots.back().array).elem_size);
+
+  const exec::ExecResult ref = exec::run_reference(loop);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    rt::ExecutorConfig cfg;
+    cfg.num_threads = threads;
+    rt::CascadeExecutor executor(cfg);
+    for (const exec::HelperMode mode :
+         {exec::HelperMode::kNone, exec::HelperMode::kPrefetch,
+          exec::HelperMode::kRestructure}) {
+      for (const std::uint64_t ipc : {0ull, 5ull}) {
+        exec::RtOptions opt;
+        opt.helper = mode;
+        opt.iters_per_chunk = ipc;
+        const exec::ExecResult got = exec::run_cascaded(loop, executor, opt);
+        EXPECT_EQ(got.digest, ref.digest) << "threads=" << threads << " mode="
+                                          << static_cast<int>(mode) << " ipc=" << ipc;
+        EXPECT_EQ(got.rw_checksum, ref.rw_checksum)
+            << "threads=" << threads << " mode=" << static_cast<int>(mode)
+            << " ipc=" << ipc;
+      }
+    }
+  }
+}
+
 TEST(ExecBridge, SafeSpecStagesAndRunsGated) {
   exec::MaterializedLoop loop(load_spec("dense_sum.casc"));
   EXPECT_TRUE(loop.demoted_claims().empty());
@@ -323,7 +376,7 @@ TEST(ExecBridgeProof, SecondRestructureRunServesTheProofFromTheMemo) {
 }
 
 bool same_shape(const exec::BodyShape& a, const exec::BodyShape& b) {
-  return a.uniform == b.uniform && a.slots == b.slots &&
+  return a.slots == b.slots && a.staged == b.staged &&
          a.staged_reads == b.staged_reads && a.plain_reads == b.plain_reads &&
          a.writes == b.writes;
 }

@@ -308,22 +308,83 @@ TEST(SimdBridge, DigestsIdenticalAcrossTiersHelperModesAndChunkPlans) {
   }
 }
 
+/// The slot `kind` of `array` (by name) moving `width` bytes, in `loop`.
+exec::BodySlot slot(const exec::MaterializedLoop& loop, exec::SlotKind kind,
+                    const std::string& array, std::uint8_t width) {
+  const loopir::LoopNest& nest = loop.nest();
+  for (loopir::ArrayId id = 0; id < nest.num_arrays(); ++id) {
+    if (nest.array(id).name == array) return exec::BodySlot{kind, width, id};
+  }
+  ADD_FAILURE() << "no array " << array;
+  return {};
+}
+
+/// The compact direct stream holds exactly the references the staged stream
+/// does not: total minus staged, with every iteration owning the same share.
+void expect_streams_partition_the_body(const exec::MaterializedLoop& loop) {
+  const std::uint64_t n = loop.num_iterations();
+  const std::uint64_t total =
+      static_cast<std::uint64_t>(loop.refs_end(n - 1) - loop.refs_begin(0));
+  const exec::BodyShape& shape = loop.body_shape();
+  EXPECT_EQ(total, n * shape.slots.size());
+  EXPECT_EQ(total - loop.staged_refs_total(), loop.direct_refs_total());
+  EXPECT_EQ(loop.staged_refs_total(), loop.staged_refs_before(n));
+  EXPECT_EQ(loop.direct_refs_total(), loop.direct_refs_before(n));
+  EXPECT_EQ(shape.staged_reads, shape.staged.size());
+  EXPECT_EQ(shape.slots.size(),
+            shape.staged_reads + shape.plain_reads + shape.writes);
+}
+
 TEST(SimdBridge, BodyShapeClassifiesTheCanonicalSpecs) {
+  using K = exec::SlotKind;
   {
     // dense_sum: every iteration stages both reads, one trailing write.
     exec::MaterializedLoop loop(load_spec("dense_sum.casc"));
     const exec::BodyShape& shape = loop.body_shape();
-    EXPECT_TRUE(shape.uniform);
     EXPECT_EQ(0u, shape.plain_reads);
     EXPECT_EQ(1u, shape.writes);
-    EXPECT_EQ(exec::SlotKind::kWrite, shape.slots.back());
+    EXPECT_EQ(exec::SlotKind::kWrite, shape.slots.back().kind);
+    const std::vector<exec::BodySlot> want = {
+        slot(loop, K::kStagedRead, "a", 8), slot(loop, K::kStagedRead, "b", 8),
+        slot(loop, K::kWrite, "y", 8)};
+    EXPECT_EQ(want, shape.slots);
+    EXPECT_EQ((std::vector<exec::BodySlot>{want[0], want[1]}), shape.staged);
+    expect_streams_partition_the_body(loop);
   }
   {
-    // spmv_small: staged reads plus a plain accumulator read and a write.
+    // spmv_small: staged reads (the 4-byte index load among them) plus a
+    // plain accumulator read and a write.
     exec::MaterializedLoop loop(load_spec("spmv_small.casc"));
     const exec::BodyShape& shape = loop.body_shape();
-    EXPECT_TRUE(shape.uniform);
     EXPECT_GT(shape.staged_reads, 0u);
+    const std::vector<exec::BodySlot> want = {
+        slot(loop, K::kStagedRead, "val", 8),
+        slot(loop, K::kStagedRead, "col", 4),
+        slot(loop, K::kStagedRead, "x", 8), slot(loop, K::kPlainRead, "y", 8),
+        slot(loop, K::kWrite, "y", 8)};
+    EXPECT_EQ(want, shape.slots);
+    EXPECT_EQ((std::vector<exec::BodySlot>{want[0], want[1], want[2]}),
+              shape.staged);
+    expect_streams_partition_the_body(loop);
+  }
+  {
+    // gather_split: the demoted claim leaves the t gather plain until the
+    // first certifying proof restages it; the streams repartition with it.
+    exec::MaterializedLoop loop(load_spec("gather_split.casc"));
+    EXPECT_EQ((std::vector<exec::BodySlot>{
+                  slot(loop, K::kStagedRead, "gidx", 4),
+                  slot(loop, K::kPlainRead, "t", 8), slot(loop, K::kWrite, "t", 8)}),
+              loop.body_shape().slots);
+    expect_streams_partition_the_body(loop);
+    const std::uint64_t direct_before = loop.direct_refs_total();
+
+    (void)loop.restructure_proof(loop.num_iterations());
+    EXPECT_EQ((std::vector<exec::BodySlot>{
+                  slot(loop, K::kStagedRead, "gidx", 4),
+                  slot(loop, K::kStagedRead, "t", 8), slot(loop, K::kWrite, "t", 8)}),
+              loop.body_shape().slots);
+    expect_streams_partition_the_body(loop);
+    EXPECT_EQ(direct_before - loop.num_iterations(), loop.direct_refs_total());
   }
 }
 
