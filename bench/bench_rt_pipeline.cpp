@@ -1,19 +1,17 @@
 // The flagship pipeline bench: wave5's call-12 PARMVR chain — 15 loops over
 // one shared array namespace — run as ONE pipelined cascade (one executor,
-// one plan-placed staging arena, survival-proven stages replaying their
-// predecessor's staged stream) versus 15 INDEPENDENT cascades (fresh executor
-// per loop, full re-gathering every stage), at 1/2/4 worker threads, and
-// both against the sequential reference.
+// one staging arena every stage gathers into) versus 15 INDEPENDENT cascades
+// (fresh executor per loop, each loop staging into its own region), at 1/2/4
+// worker threads, and both against the sequential reference.
 //
 // Restructure proofs are memoized on the stage loops, so one untimed pass of
 // each path proves every stage before timing starts: otherwise whichever
 // path ran first would pay every proof and the other would ride the memo.
 //
-// The deterministic metrics are gates, not measurements: digest_mismatch
-// (every path must reproduce the sequential reference bit for bit) and
-// reuse_shortfall (every plan-proven pair must actually replay — a refused
-// gate or degraded predecessor shows up here) baseline at ZERO, so any
-// nonzero value blows the loose rt tolerance and fails the diff.  Wall-time
+// The deterministic metric is a gate, not a measurement: digest_mismatch
+// (every path must reproduce the sequential reference bit for bit)
+// baselines at ZERO, so any nonzero value blows the loose rt tolerance and
+// fails the diff.  Wall-time
 // ratios are host-dependent and ride the loose tolerance; the sim-backend
 // cycle counts are deterministic at a given scale.
 #include <cstdint>
@@ -75,10 +73,6 @@ int main() {
 
   const loopir::PipelineSpec spec = wave5::make_parmvr_pipeline(scale);
   exec::MaterializedPipeline pipe(spec);
-  std::uint64_t proven_pairs = 0;
-  for (const analysis::PairPlan& p : pipe.plan().pairs) {
-    if (p.full_reuse) ++proven_pairs;
-  }
 
   exec::RtOptions opt;
   opt.helper = exec::HelperMode::kRestructure;
@@ -90,7 +84,6 @@ int main() {
   rep.set_param("stages", static_cast<std::uint64_t>(pipe.num_stages()));
   rep.set_param("chunk_bytes", chunk_bytes);
   rep.set_param("helper", std::string("restructure"));
-  rep.set_param("proven_reuse_pairs", proven_pairs);
 
   bench::run_and_report(rep, [&] {
     const exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
@@ -117,7 +110,7 @@ int main() {
     }
 
     report::Table table({"Threads", "Pipeline s", "Independent s", "Chain gain",
-                         "vs reference", "Reused", "Digest"});
+                         "vs reference", "Digest"});
     table.set_title("PARMVR call-12 chain: pipelined cascade vs " +
                     std::to_string(pipe.num_stages()) +
                     " independent cascades (restructure, 64 KB chunks)");
@@ -135,8 +128,6 @@ int main() {
           (chain.rw_checksum != ref.rw_checksum ? 1u : 0u) +
           (indep.chain_digest != ref.chain_digest ? 1u : 0u) +
           (indep.rw_checksum != ref.rw_checksum ? 1u : 0u);
-      const std::uint64_t shortfall =
-          proven_pairs - std::min(proven_pairs, chain.stages_reused);
 
       const double vs_independent =
           chain.seconds > 0.0 ? indep.seconds / chain.seconds : 0.0;
@@ -147,9 +138,6 @@ int main() {
       rep.add_metric(key + ".independent_seconds", indep.seconds);
       rep.add_metric(key + ".pipeline_vs_independent", vs_independent);
       rep.add_metric(key + ".pipeline_vs_reference", vs_reference);
-      rep.add_metric(key + ".stages_reused",
-                     static_cast<double>(chain.stages_reused));
-      rep.add_metric(key + ".reuse_shortfall", static_cast<double>(shortfall));
       rep.add_metric(key + ".digest_mismatch", static_cast<double>(mismatches));
 
       table.add_row({std::to_string(threads),
@@ -157,7 +145,6 @@ int main() {
                      report::fmt_double(indep.seconds),
                      report::fmt_double(vs_independent),
                      report::fmt_double(vs_reference),
-                     report::fmt_count(chain.stages_reused),
                      mismatches == 0 ? "match" : "MISMATCH"});
     }
     table.print(std::cout);

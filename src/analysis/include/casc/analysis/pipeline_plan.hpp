@@ -1,36 +1,12 @@
-// Cross-loop survival analysis and staging-arena placement for a
-// PipelineSpec — the artifact that lets the exec layer reuse one loop's
-// staged SoA stream in the next loop instead of re-gathering it.
+// Staging plan for a PipelineSpec: what each stage stages, and the one
+// staging arena the exec layer runs the whole chain through.
 //
-// The safety argument is the race certifier's happens-before order extended
-// across the chain.  Within one stage, helper_c stages operand bytes while
-// chunks < c are still executing; staging is sound only for bytes the stage
-// never writes (the per-stage gate's job).  ACROSS stages the executor's
-// run() return is a full synchronization barrier: every write of stage k
-// happens-before every phase of stage k+1.  Stage k's staged stream
-// therefore remains a faithful image of memory at stage k+1's execution iff
-//
-//   * stage k+1 stages the SAME slot sequence (same arrays, element sizes,
-//     strides, offsets, and via chains, in the same body order),
-//   * the two stages share trip geometry (same trip and step, hence the
-//     same iteration space and the same per-iteration staged prefix), and
-//   * no staged source array — nor any index array a staged gather resolves
-//     through — is written by either stage (a written source makes the
-//     copy stale; a written index array re-routes the gather itself).
-//
-// Signature equality subsumes most write refusals (a written array is rw in
-// its stage's spec, so its reads are not staged and the signatures diverge),
-// but the pass still reports the ROOT CAUSE per array: "written-by-
-// successor", "index-array-written", "not-staged-by-successor",
-// "slot-shape-differs", or "trip-geometry-differs".  Reuse is proof-gated
-// and all-or-nothing per adjacent pair: any refusal falls back to full
-// re-staging at runtime.
-//
-// The placement half sizes one shared staging arena for the whole chain:
-// maximal full-reuse runs of stages form a region whose live range spans the
-// run, and regions are packed first-fit over the live-range interval graph
-// (the parabix buffer_size_analysis idiom) so stages with disjoint lifetimes
-// share arena bytes.
+// Each stage's staged slot signature mirrors the materializer's staging
+// decisions (a read is staged iff its array is read-only in the stage's
+// spec, and every index load is staged), so it fixes the bytes of the
+// stage's staged stream: 8 per staged slot per iteration.  Stages run one
+// after another on one executor, and each gathers its own stream, so one
+// arena as large as the largest stream serves every stage in turn.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +21,8 @@ class JsonWriter;  // casc/telemetry/json.hpp
 
 namespace casc::analysis {
 
-/// One staged reference slot of a stage's per-iteration body, in body order.
-/// Two stages stage the same bytes iff their slot sequences compare equal:
-/// every field that feeds offset resolution is part of the identity.
+/// One staged reference slot of a stage's per-iteration body, in body order,
+/// with every field that feeds its offset resolution.
 struct StagedSlot {
   std::string array;         ///< source array (pipeline namespace)
   bool is_index_load = false;  ///< the gather of the index value itself
@@ -55,29 +30,9 @@ struct StagedSlot {
   std::int64_t stride = 1;
   std::int64_t offset = 0;
   std::string via;  ///< index array a data gather resolves through ("" = affine)
-
-  [[nodiscard]] bool operator==(const StagedSlot&) const = default;
 };
 
-/// Survival verdict for one array staged by the pair's first stage.
-struct ArraySurvival {
-  std::string array;
-  bool survives = false;
-  std::string reason;  ///< refusal rule; empty when `survives`
-};
-
-/// Reuse verdict for one adjacent stage pair (from, from+1).
-struct PairPlan {
-  std::size_t from = 0;
-  std::size_t to = 0;
-  /// Stage `to` may execute against stage `from`'s staged stream verbatim.
-  bool full_reuse = false;
-  std::string reason;  ///< pair-level refusal rule; empty when `full_reuse`
-  /// Per-array facts for every array staged by stage `from`.
-  std::vector<ArraySurvival> arrays;
-};
-
-/// Per-stage staging facts plus the stage's slot in the shared arena.
+/// Per-stage staging facts.
 struct StagePlan {
   std::string name;  ///< stage name (without the pipeline prefix)
   std::uint64_t iterations = 0;
@@ -85,30 +40,19 @@ struct StagePlan {
   std::uint64_t step = 1;
   std::vector<StagedSlot> staged_signature;  ///< per-iteration staged slots
   std::uint64_t staged_bytes = 0;  ///< iterations * signature size * 8
-  /// Arena placement: the stage reads/writes staged values in
-  /// [region_offset, region_offset + region_bytes).  A full-reuse run of
-  /// stages shares one region; `region_of` names the run's first stage
-  /// (the one that gathers).  Stages that stage nothing get an empty region.
-  std::uint64_t region_offset = 0;
-  std::uint64_t region_bytes = 0;
-  std::size_t region_of = 0;
 };
 
-/// The complete plan artifact: what survives, what must re-stage, and where
-/// every stage's staged bytes live.  casclint prints it; the exec layer's
-/// MaterializedPipeline executes it.
+/// The complete plan artifact.  casclint prints it; the exec layer's
+/// MaterializedPipeline sizes its staging arena from it.
 struct PipelinePlan {
   std::string pipeline;
   std::vector<StagePlan> stages;
-  std::vector<PairPlan> pairs;  ///< stages.size() - 1 entries
+  /// The chain's one staging arena: the largest stage's staged_bytes.
   std::uint64_t arena_bytes = 0;
 
-  /// Number of stages executing against a predecessor's staged stream.
-  [[nodiscard]] std::uint64_t stages_reusing() const noexcept {
-    std::uint64_t n = 0;
-    for (const PairPlan& p : pairs) n += p.full_reuse ? 1 : 0;
-    return n;
-  }
+  /// Always 0: no stage replays another's staged stream.  Kept only because
+  /// perfbench still reads it; it goes when perfbench stops (ROADMAP.md).
+  [[nodiscard]] std::uint64_t stages_reusing() const noexcept { return 0; }
 
   /// Human-readable multi-line rendering (cascsim, debugging).
   [[nodiscard]] std::string render_text() const;
@@ -120,9 +64,9 @@ struct PipelinePlan {
   [[nodiscard]] std::string render_json() const;
 };
 
-/// Computes the survival + placement plan for a parsed pipeline.  The spec
-/// must be structurally valid (PipelineSpec::parse with no errors); the plan
-/// itself never fails — an unprovable pair is a refusal, not an error.
+/// Computes the staging plan for a parsed pipeline.  The spec must be
+/// structurally valid (PipelineSpec::parse with no errors); the plan itself
+/// never fails.
 [[nodiscard]] PipelinePlan plan_pipeline(const loopir::PipelineSpec& spec);
 
 }  // namespace casc::analysis

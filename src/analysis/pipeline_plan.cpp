@@ -3,28 +3,18 @@
 #include <algorithm>
 #include <sstream>
 
-#include "casc/common/check.hpp"
 #include "casc/telemetry/json.hpp"
 
 namespace casc::analysis {
 
 namespace {
 
-/// Arena regions are handed to workers as gather destinations; cache-line
-/// alignment keeps neighbouring regions from false-sharing.
-constexpr std::uint64_t kRegionAlign = 64;
-
-std::uint64_t align_up(std::uint64_t v) {
-  return (v + kRegionAlign - 1) & ~(kRegionAlign - 1);
-}
-
 /// Builds the staged slot signature of one stage, mirroring the
 /// materializer's staging decisions exactly (materialize.cpp): the nest
 /// emits, per access in body order, an index-load ref (always stageable)
 /// followed by the element ref (stageable iff it is a read of an array the
 /// stage never writes); an `update` access lowers to a read then a write of
-/// the same site.  Slots record every input of offset resolution, so equal
-/// signatures + equal trip geometry imply byte-identical staged streams.
+/// the same site.
 std::vector<StagedSlot> signature_of(const loopir::PipelineSpec& spec,
                                      const loopir::PipelineSpec::Stage& stage) {
   std::vector<StagedSlot> sig;
@@ -61,23 +51,12 @@ std::vector<StagedSlot> signature_of(const loopir::PipelineSpec& spec,
   return sig;
 }
 
-/// The subsequence of `sig` whose source array is `array`.
-std::vector<StagedSlot> slots_of(const std::vector<StagedSlot>& sig,
-                                 const std::string& array) {
-  std::vector<StagedSlot> out;
-  for (const StagedSlot& slot : sig) {
-    if (slot.array == array) out.push_back(slot);
-  }
-  return out;
-}
-
 }  // namespace
 
 PipelinePlan plan_pipeline(const loopir::PipelineSpec& spec) {
   PipelinePlan plan;
   plan.pipeline = spec.name;
 
-  // ---- per-stage staging facts ----------------------------------------
   plan.stages.reserve(spec.stages.size());
   for (const loopir::PipelineSpec::Stage& stage : spec.stages) {
     StagePlan sp;
@@ -89,148 +68,21 @@ PipelinePlan plan_pipeline(const loopir::PipelineSpec& spec) {
     // The helper gathers every staged value as one zero-extended 64-bit
     // word (materialize.hpp), so the stream costs 8 bytes per slot.
     sp.staged_bytes = sp.iterations * sp.staged_signature.size() * 8;
+    plan.arena_bytes = std::max(plan.arena_bytes, sp.staged_bytes);
     plan.stages.push_back(std::move(sp));
-  }
-
-  // ---- adjacent-pair survival -----------------------------------------
-  for (std::size_t k = 0; k + 1 < spec.stages.size(); ++k) {
-    const loopir::PipelineSpec::Stage& succ = spec.stages[k + 1];
-    const StagePlan& from = plan.stages[k];
-    const StagePlan& to = plan.stages[k + 1];
-    PairPlan pair;
-    pair.from = k;
-    pair.to = k + 1;
-    const bool same_geometry = from.trip == to.trip && from.step == to.step;
-
-    std::vector<std::string> staged_arrays;
-    for (const StagedSlot& slot : from.staged_signature) {
-      if (std::find(staged_arrays.begin(), staged_arrays.end(), slot.array) ==
-          staged_arrays.end()) {
-        staged_arrays.push_back(slot.array);
-      }
-    }
-    for (const std::string& array : staged_arrays) {
-      ArraySurvival s;
-      s.array = array;
-      if (!same_geometry) {
-        s.reason = "trip-geometry-differs";
-      } else if (succ.writes(array)) {
-        s.reason = "written-by-successor";
-      } else {
-        // A gathered value is only as fresh as the index chain it resolved
-        // through: a successor that rewrites the index array re-routes the
-        // gather even though the data bytes are untouched.
-        std::string written_via;
-        for (const StagedSlot& slot : slots_of(from.staged_signature, array)) {
-          if (!slot.via.empty() && succ.writes(slot.via)) written_via = slot.via;
-        }
-        if (!written_via.empty()) {
-          s.reason = "index-array-written";
-        } else if (slots_of(to.staged_signature, array).empty()) {
-          s.reason = "not-staged-by-successor";
-        } else if (slots_of(from.staged_signature, array) !=
-                   slots_of(to.staged_signature, array)) {
-          s.reason = "slot-shape-differs";
-        } else {
-          s.survives = true;
-        }
-      }
-      pair.arrays.push_back(std::move(s));
-    }
-
-    if (from.staged_signature.empty()) {
-      pair.reason = "nothing-staged";
-    } else if (!same_geometry) {
-      pair.reason = "trip-geometry-differs";
-    } else {
-      for (const ArraySurvival& s : pair.arrays) {
-        if (!s.survives) {
-          pair.reason = s.array + ": " + s.reason;
-          break;
-        }
-      }
-      if (pair.reason.empty()) {
-        if (from.staged_signature == to.staged_signature) {
-          pair.full_reuse = true;
-        } else {
-          // Every array survives slot-for-slot but the interleaving (or the
-          // slot multiset) differs, so the flat stream cannot be replayed.
-          pair.reason = "slot-order-differs";
-        }
-      }
-    }
-    plan.pairs.push_back(std::move(pair));
-  }
-
-  // ---- arena placement: first-fit over the live-range interval graph ---
-  //
-  // A maximal run of full-reuse pairs shares one region, gathered by the
-  // run's first stage and live until its last; every other stage's region
-  // lives only while that stage runs.  First-fit packing lets regions with
-  // disjoint live ranges share arena bytes — the cross-loop reuse of the
-  // arena itself.
-  struct Region {
-    std::size_t first, last;
-    std::uint64_t offset, bytes;
-  };
-  std::vector<Region> placed;
-  std::size_t k = 0;
-  while (k < plan.stages.size()) {
-    std::size_t last = k;
-    while (last + 1 < plan.stages.size() && plan.pairs[last].full_reuse) ++last;
-    const std::uint64_t bytes = plan.stages[k].staged_bytes;
-    std::uint64_t offset = 0;
-    if (bytes > 0) {
-      bool moved = true;
-      while (moved) {
-        moved = false;
-        for (const Region& r : placed) {
-          const bool live_overlap = r.first <= last && k <= r.last;
-          const bool byte_overlap =
-              offset < r.offset + r.bytes && r.offset < offset + bytes;
-          if (live_overlap && byte_overlap) {
-            offset = align_up(r.offset + r.bytes);
-            moved = true;
-          }
-        }
-      }
-      placed.push_back({k, last, offset, bytes});
-      plan.arena_bytes = std::max(plan.arena_bytes, offset + bytes);
-    }
-    for (std::size_t s = k; s <= last; ++s) {
-      plan.stages[s].region_offset = offset;
-      plan.stages[s].region_bytes = bytes;
-      plan.stages[s].region_of = k;
-    }
-    k = last + 1;
   }
   return plan;
 }
 
 std::string PipelinePlan::render_text() const {
   std::ostringstream os;
-  os << "pipeline " << pipeline << ": " << stages.size() << " stages, "
-     << stages_reusing() << " reused stagings, arena " << arena_bytes
-     << " bytes\n";
+  os << "pipeline " << pipeline << ": " << stages.size() << " stages, arena "
+     << arena_bytes << " bytes\n";
   for (std::size_t k = 0; k < stages.size(); ++k) {
     const StagePlan& s = stages[k];
     os << "  stage " << k << " '" << s.name << "': " << s.iterations
        << " iters, " << s.staged_signature.size() << " staged slots/iter, "
-       << s.staged_bytes << " staged bytes, region @" << s.region_offset;
-    if (s.region_of != k) os << " (reuses stage " << s.region_of << ")";
-    os << "\n";
-  }
-  for (const PairPlan& p : pairs) {
-    os << "  pair " << p.from << "->" << p.to << ": ";
-    if (p.full_reuse) {
-      os << "reuse staged stream\n";
-    } else {
-      os << "re-stage (" << p.reason << ")\n";
-    }
-    for (const ArraySurvival& a : p.arrays) {
-      os << "    " << a.array << ": "
-         << (a.survives ? "survives" : a.reason) << "\n";
-    }
+       << s.staged_bytes << " staged bytes\n";
   }
   return os.str();
 }
@@ -241,8 +93,6 @@ void PipelinePlan::render_json(telemetry::JsonWriter& w) const {
   w.value(pipeline);
   w.key("arena_bytes");
   w.value(arena_bytes);
-  w.key("stages_reusing");
-  w.value(stages_reusing());
   w.key("stages");
   w.begin_array();
   for (std::size_t k = 0; k < stages.size(); ++k) {
@@ -258,12 +108,6 @@ void PipelinePlan::render_json(telemetry::JsonWriter& w) const {
     w.value(s.step);
     w.key("staged_bytes");
     w.value(s.staged_bytes);
-    w.key("region_offset");
-    w.value(s.region_offset);
-    w.key("region_bytes");
-    w.value(s.region_bytes);
-    w.key("region_of");
-    w.value(static_cast<std::uint64_t>(s.region_of));
     w.key("signature");
     w.begin_array();
     for (const StagedSlot& slot : s.staged_signature) {
@@ -281,34 +125,6 @@ void PipelinePlan::render_json(telemetry::JsonWriter& w) const {
       w.value(slot.offset);
       w.key("via");
       w.value(slot.via);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.key("pairs");
-  w.begin_array();
-  for (const PairPlan& p : pairs) {
-    w.begin_object();
-    w.key("from");
-    w.value(static_cast<std::uint64_t>(p.from));
-    w.key("to");
-    w.value(static_cast<std::uint64_t>(p.to));
-    w.key("full_reuse");
-    w.value(p.full_reuse);
-    w.key("reason");
-    w.value(p.reason);
-    w.key("arrays");
-    w.begin_array();
-    for (const ArraySurvival& a : p.arrays) {
-      w.begin_object();
-      w.key("array");
-      w.value(a.array);
-      w.key("survives");
-      w.value(a.survives);
-      w.key("reason");
-      w.value(a.reason);
       w.end_object();
     }
     w.end_array();

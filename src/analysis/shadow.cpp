@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "casc/core/chunk.hpp"
@@ -29,14 +27,31 @@ struct StagedInterval {
   std::uint64_t max_iter = 0;
 };
 
-/// Per-address staging record.  `reads` (sorted, ring mode only) lists every
-/// iteration that stages these bytes, so the ring replay can find the FIRST
-/// read after a write — the one with the minimal (binding) chunk distance.
-struct StagedByte {
+/// One reference as pass 1 records it.  Records are collected flat and
+/// stable-sorted by address, so each address's records stay in stream
+/// order: its first occurrence first, its reads in iteration order.
+struct RefRecord {
+  std::uint64_t addr = 0;
+  std::uint64_t iter = 0;
   std::uint32_t size = 0;
-  std::uint64_t min_iter = 0;
-  std::uint64_t max_iter = 0;
-  std::vector<std::uint64_t> reads;
+};
+
+void sort_by_addr(std::vector<RefRecord>& records) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const RefRecord& a, const RefRecord& b) {
+                     return a.addr < b.addr;
+                   });
+}
+
+/// The staged reads of one address: records [first, last) of the sorted
+/// staged list, which list every iteration that stages these bytes in
+/// order, so the ring replay can find the FIRST read after a write — the
+/// one with the minimal (binding) chunk distance.
+struct StagedAddr {
+  std::uint64_t addr = 0;
+  std::uint32_t size = 0;  ///< widest read of the address
+  std::size_t first = 0;
+  std::size_t last = 0;
 };
 
 }  // namespace
@@ -122,61 +137,63 @@ ShadowReport shadow_check(const trace::Trace& trace,
 
   // Pass 1: staged footprint (every read of a claimed-read-only extent is a
   // byte range the restructuring helper would copy early) and per-chunk
-  // distinct-bytes peaks.
-  std::unordered_map<std::uint64_t, StagedByte> staged;
-  std::unordered_set<std::uint64_t> chunk_addrs;
-  std::uint64_t chunk_bytes_seen = 0;
+  // distinct-bytes peaks.  A chunk's distinct bytes count each address once,
+  // at the width of its first reference in the chunk.
+  std::vector<RefRecord> staged;     // every claimed-read-only read
+  std::vector<RefRecord> chunk_refs;  // every reference of the current chunk
+  auto close_chunk = [&] {
+    sort_by_addr(chunk_refs);
+    std::uint64_t bytes = 0;
+    for (std::size_t i = 0; i < chunk_refs.size(); ++i) {
+      if (i == 0 || chunk_refs[i].addr != chunk_refs[i - 1].addr) {
+        bytes += chunk_refs[i].size;
+      }
+    }
+    report.peak_chunk_bytes = std::max(report.peak_chunk_bytes, bytes);
+    chunk_refs.clear();
+  };
   std::uint64_t cur_chunk = 0;
   std::vector<loopir::Ref> refs;
   for (std::uint64_t it = 0; it < n; ++it) {
     const std::uint64_t chunk = it / report.chunk_iters;
     if (chunk != cur_chunk) {
-      report.peak_chunk_bytes =
-          std::max(report.peak_chunk_bytes, chunk_bytes_seen);
-      chunk_addrs.clear();
-      chunk_bytes_seen = 0;
+      close_chunk();
       cur_chunk = chunk;
     }
     refs.clear();
     trace.refs_for_iteration(it, refs);
     for (const loopir::Ref& ref : refs) {
       ++report.refs_checked;
-      if (chunk_addrs.insert(ref.mem.addr).second) {
-        chunk_bytes_seen += ref.mem.size;
-      }
+      const RefRecord record{ref.mem.addr, it, ref.mem.size};
+      chunk_refs.push_back(record);
       const ArrayClaim* claim = claim_for(ref.mem.addr);
       if (claim == nullptr) {
         ++report.out_of_extent_refs;
         continue;
       }
       const bool is_write = ref.mem.type == sim::AccessType::kWrite;
-      if (!is_write && claim->claimed_ro) {
-        auto [slot, inserted] = staged.try_emplace(
-            ref.mem.addr, StagedByte{ref.mem.size, it, it, {}});
-        if (!inserted) {
-          slot->second.size = std::max(slot->second.size, ref.mem.size);
-          slot->second.min_iter = std::min(slot->second.min_iter, it);
-          slot->second.max_iter = std::max(slot->second.max_iter, it);
-        }
-        // `it` is nondecreasing, so the list stays sorted.
-        if (opt.ring_workers > 0) slot->second.reads.push_back(it);
-      }
+      if (!is_write && claim->claimed_ro) staged.push_back(record);
     }
   }
-  report.peak_chunk_bytes = std::max(report.peak_chunk_bytes, chunk_bytes_seen);
+  close_chunk();
 
-  // Coalesce the staged bytes into disjoint intervals for the write scan.
-  std::vector<StagedInterval> intervals;
-  intervals.reserve(staged.size());
-  for (const auto& [addr, info] : staged) {
-    intervals.push_back({addr, addr + info.size, info.min_iter, info.max_iter});
+  // Group the staged reads by address, then coalesce the staged bytes into
+  // disjoint intervals for the write scan.
+  sort_by_addr(staged);
+  std::vector<StagedAddr> staged_addrs;
+  for (std::size_t i = 0; i < staged.size(); ++i) {
+    if (staged_addrs.empty() || staged_addrs.back().addr != staged[i].addr) {
+      staged_addrs.push_back({staged[i].addr, 0, i, i});
+    }
+    StagedAddr& group = staged_addrs.back();
+    group.size = std::max(group.size, staged[i].size);
+    group.last = i + 1;
   }
-  std::sort(intervals.begin(), intervals.end(),
-            [](const StagedInterval& a, const StagedInterval& b) {
-              return a.lo < b.lo;
-            });
   std::vector<StagedInterval> merged;
-  for (const StagedInterval& iv : intervals) {
+  for (const StagedAddr& group : staged_addrs) {
+    const StagedInterval iv{group.addr, group.addr + group.size,
+                            staged[group.first].iter,
+                            staged[group.last - 1].iter};
     if (!merged.empty() && iv.lo <= merged.back().hi) {
       merged.back().hi = std::max(merged.back().hi, iv.hi);
       merged.back().min_iter = std::min(merged.back().min_iter, iv.min_iter);
@@ -219,10 +236,15 @@ ShadowReport shadow_check(const trace::Trace& trace,
         // interval: the interval's iteration span is the union over many
         // bytes, which would overstate when THESE bytes are re-read.
         std::uint64_t last_read = iv->max_iter;
-        const StagedByte* exact = nullptr;
-        if (auto found = staged.find(lo); found != staged.end()) {
-          exact = &found->second;
-          last_read = exact->max_iter;
+        const StagedAddr* exact = nullptr;
+        if (auto found = std::lower_bound(
+                staged_addrs.begin(), staged_addrs.end(), lo,
+                [](const StagedAddr& g, std::uint64_t a) {
+                  return g.addr < a;
+                });
+            found != staged_addrs.end() && found->addr == lo) {
+          exact = &*found;
+          last_read = staged[exact->last - 1].iter;
         }
         const std::uint64_t last_read_chunk = last_read / report.chunk_iters;
         if (opt.ring_workers > 0) {
@@ -231,11 +253,15 @@ ShadowReport shadow_check(const trace::Trace& trace,
           // alone decides whether THIS ring races on these bytes.
           std::uint64_t first_later = last_read;
           bool has_later = last_read > it;
-          if (exact != nullptr && !exact->reads.empty()) {
-            auto r = std::upper_bound(exact->reads.begin(),
-                                      exact->reads.end(), it);
-            has_later = r != exact->reads.end();
-            if (has_later) first_later = *r;
+          if (exact != nullptr) {
+            const auto reads_end = staged.begin() + exact->last;
+            auto r = std::upper_bound(
+                staged.begin() + exact->first, reads_end, it,
+                [](std::uint64_t i, const RefRecord& rec) {
+                  return i < rec.iter;
+                });
+            has_later = r != reads_end;
+            if (has_later) first_later = r->iter;
           }
           if (!has_later) {
             if (reported_plain < opt.max_reported) {

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "casc/cascade/chunking.hpp"
 #include "casc/cascade/engine.hpp"
 #include "casc/common/check.hpp"
+#include "casc/core/chunk.hpp"
 
 namespace casc::cascade {
 
@@ -89,7 +89,7 @@ AnalyticInputs derive_inputs(const loopir::LoopNest& nest,
 
   // Staged accesses are served where the chunk's data fits.
   const std::uint64_t chunk_iters =
-      ChunkPlan::for_bytes(nest, opt.chunk_bytes).iters_per_chunk();
+      core::ChunkPlan::for_bytes(nest, opt.chunk_bytes).iters_per_chunk();
   const double chunk_data =
       static_cast<double>(chunk_iters) *
       static_cast<double>(std::max<std::uint64_t>(1, nest.bytes_per_iteration()));

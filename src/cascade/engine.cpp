@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "casc/cascade/preflight.hpp"
+#include "casc/analysis/refstream.hpp"
 #include "casc/common/align.hpp"
 #include "casc/common/check.hpp"
 
@@ -47,10 +47,11 @@ const sim::Machine& CascadeSimulator::machine() const {
 }
 
 std::uint64_t CascadeSimulator::buffer_bytes_per_iteration(const loopir::LoopNest& nest) {
-  return LoopWorkload(nest).buffer_bytes_per_iteration();
+  return core::LoopWorkload(nest).buffer_bytes_per_iteration();
 }
 
-void CascadeSimulator::apply_start_state(const Workload& workload, StartState start) {
+void CascadeSimulator::apply_start_state(const core::Workload& workload,
+                                         StartState start) {
   const unsigned P = machine_->num_processors();
   const std::uint64_t l2_line = config_.l2.line_size;
   if (start != StartState::kCold) {
@@ -58,7 +59,7 @@ void CascadeSimulator::apply_start_state(const Workload& workload, StartState st
     // block-distributed across all processors (the residue of a parallel
     // section that produced the data); kWarmSingle reads everything on
     // processor 0.
-    for (const AddressRange& range : workload.data_ranges()) {
+    for (const core::AddressRange& range : workload.data_ranges()) {
       const std::uint64_t lines = (range.bytes + l2_line - 1) / l2_line;
       const std::uint64_t block = (lines + P - 1) / P;
       for (std::uint64_t line = 0; line < lines; ++line) {
@@ -78,10 +79,10 @@ void CascadeSimulator::apply_start_state(const Workload& workload, StartState st
 
 SequentialResult CascadeSimulator::run_sequential(const loopir::LoopNest& nest,
                                                   StartState start) {
-  return run_sequential(LoopWorkload(nest), start);
+  return run_sequential(core::LoopWorkload(nest), start);
 }
 
-SequentialResult CascadeSimulator::run_sequential(const Workload& workload,
+SequentialResult CascadeSimulator::run_sequential(const core::Workload& workload,
                                                   StartState start) {
   machine_ = std::make_unique<sim::Machine>(config_);
   apply_start_state(workload, start);
@@ -89,16 +90,16 @@ SequentialResult CascadeSimulator::run_sequential(const Workload& workload,
 }
 
 SequentialResult CascadeSimulator::continue_sequential(const loopir::LoopNest& nest) {
-  return continue_sequential(LoopWorkload(nest));
+  return continue_sequential(core::LoopWorkload(nest));
 }
 
-SequentialResult CascadeSimulator::continue_sequential(const Workload& workload) {
+SequentialResult CascadeSimulator::continue_sequential(const core::Workload& workload) {
   CASC_CHECK(machine_ != nullptr, "continue_sequential requires a prior run");
   machine_->reset_stats();
   return sequential_impl(workload);
 }
 
-SequentialResult CascadeSimulator::sequential_impl(const Workload& workload) {
+SequentialResult CascadeSimulator::sequential_impl(const core::Workload& workload) {
   SequentialResult result;
   const std::uint64_t iters = workload.num_iterations();
   for (std::uint64_t it = 0; it < iters; ++it) {
@@ -115,7 +116,7 @@ SequentialResult CascadeSimulator::sequential_impl(const Workload& workload) {
   return result;
 }
 
-void CascadeSimulator::build_helper_refs(const Workload& workload, HelperKind kind,
+void CascadeSimulator::build_helper_refs(const core::Workload& workload, HelperKind kind,
                                          std::uint64_t it, SequentialBufferModel* buf,
                                          std::vector<sim::MemRef>& out) const {
   if (kind == HelperKind::kNone) return;
@@ -144,7 +145,7 @@ void CascadeSimulator::build_helper_refs(const Workload& workload, HelperKind ki
   }
 }
 
-std::uint32_t CascadeSimulator::build_exec_refs(const Workload& workload,
+std::uint32_t CascadeSimulator::build_exec_refs(const core::Workload& workload,
                                                 HelperKind kind, std::uint64_t it,
                                                 SequentialBufferModel* buf,
                                                 std::vector<sim::MemRef>& out) const {
@@ -177,10 +178,10 @@ std::uint32_t CascadeSimulator::build_exec_refs(const Workload& workload,
 
 CascadeResult CascadeSimulator::run_cascaded(const loopir::LoopNest& nest,
                                              const CascadeOptions& opt) {
-  return run_cascaded(LoopWorkload(nest), opt);
+  return run_cascaded(core::LoopWorkload(nest), opt);
 }
 
-CascadeResult CascadeSimulator::run_cascaded(const Workload& workload,
+CascadeResult CascadeSimulator::run_cascaded(const core::Workload& workload,
                                              const CascadeOptions& opt) {
   machine_ = std::make_unique<sim::Machine>(config_);
   apply_start_state(workload, opt.start_state);
@@ -189,10 +190,10 @@ CascadeResult CascadeSimulator::run_cascaded(const Workload& workload,
 
 CascadeResult CascadeSimulator::continue_cascaded(const loopir::LoopNest& nest,
                                                   const CascadeOptions& opt) {
-  return continue_cascaded(LoopWorkload(nest), opt);
+  return continue_cascaded(core::LoopWorkload(nest), opt);
 }
 
-CascadeResult CascadeSimulator::continue_cascaded(const Workload& workload,
+CascadeResult CascadeSimulator::continue_cascaded(const core::Workload& workload,
                                                   const CascadeOptions& opt) {
   CASC_CHECK(machine_ != nullptr, "continue_cascaded requires a prior run");
   machine_->reset_stats();
@@ -203,7 +204,7 @@ bool CascadeSimulator::verify_enabled() const {
   return verify_override_.value_or(common::verification_enabled());
 }
 
-CascadeResult CascadeSimulator::cascaded_impl(const Workload& workload,
+CascadeResult CascadeSimulator::cascaded_impl(const core::Workload& workload,
                                               const CascadeOptions& requested) {
   CascadeOptions opt = requested;
   CascadeResult preflight_outcome;
@@ -211,7 +212,8 @@ CascadeResult CascadeSimulator::cascaded_impl(const Workload& workload,
     // Refuse to stage operands whose read-only claim the reference stream
     // contradicts: fall back to prefetch (always semantics-preserving) and
     // carry the evidence in the result.
-    PreflightReport preflight = preflight_verify(workload, {opt.chunk_bytes});
+    analysis::RefStreamReport preflight =
+        analysis::verify_ref_stream(workload, {opt.chunk_bytes});
     if (!preflight.restructure_safe) {
       opt.helper = HelperKind::kPrefetch;
       preflight_outcome.preflight_demoted = true;
@@ -221,7 +223,7 @@ CascadeResult CascadeSimulator::cascaded_impl(const Workload& workload,
   CASC_CHECK(opt.helper_lookahead >= 1, "lookahead must be at least 1");
   const unsigned P = machine_->num_processors();
   const unsigned L = opt.helper_lookahead;
-  const ChunkPlan plan = ChunkPlan::for_iters_per_bytes(
+  const core::ChunkPlan plan = core::ChunkPlan::for_iters_per_bytes(
       workload.num_iterations(), workload.bytes_per_iteration(), opt.chunk_bytes);
   const std::uint64_t buf_bytes_per_iter = workload.buffer_bytes_per_iteration();
 
@@ -265,7 +267,7 @@ CascadeResult CascadeSimulator::cascaded_impl(const Workload& workload,
   auto stage_chunk = [&](std::uint64_t ci, std::uint64_t budget, std::uint64_t& spent,
                          bool respect_budget) {
     const unsigned p = static_cast<unsigned>(ci % P);
-    const ChunkPlan::Range range = plan.chunk(ci);
+    const core::ChunkPlan::Range range = plan.chunk(ci);
     SequentialBufferModel* buf = buffer_for_chunk(ci);
     if (staged_until[ci] == range.begin) buf->begin_chunk();
     for (std::uint64_t it = staged_until[ci]; it < range.end; ++it) {
@@ -283,7 +285,7 @@ CascadeResult CascadeSimulator::cascaded_impl(const Workload& workload,
 
   for (std::uint64_t c = 0; c < plan.num_chunks(); ++c) {
     const unsigned p = static_cast<unsigned>(c % P);
-    const ChunkPlan::Range range = plan.chunk(c);
+    const core::ChunkPlan::Range range = plan.chunk(c);
 
     // ---- helper phase ------------------------------------------------------
     const std::uint64_t window_start = avail[p];

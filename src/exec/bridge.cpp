@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "casc/analysis/verifier.hpp"
@@ -23,10 +22,10 @@ namespace {
 // and unstaged or reclaimed chunks.  A staged chunk runs a fused kernel
 // instead: it takes each slot's kind, array and width from the body's slot
 // table (MaterializedLoop::body_shape()), its staged values from the
-// helper's buffer, and its other byte offsets from the loop's compact direct
-// stream, so it never reads a ResolvedRef.  Every kernel implements the same
-// semantics (see materialize.hpp), so digests are bit-identical across
-// kernels, helper modes, and SIMD tiers.
+// staging region the helper gathered them into, and its other byte offsets
+// from the loop's compact direct stream, so it never reads a ResolvedRef.
+// Every kernel implements the same semantics (see materialize.hpp), so
+// digests are bit-identical across kernels, helper modes, and SIMD tiers.
 
 /// Little-endian load of `width` (1..8) bytes, zero-extended — exactly
 /// MaterializedLoop::load()'s semantics, as one fixed-size load per width.
@@ -161,12 +160,11 @@ std::uint64_t interpret_staged(MaterializedLoop& loop, std::uint64_t begin,
 
 // ---- helper phases ---------------------------------------------------------
 
-/// The restructuring helper's gather, shared by the single-loop and the
-/// chain engine: stages the staged operand values of iterations [begin, end)
-/// into `out`, in stream order.  Each value is one plain load at its staged
-/// slot's array and width.  Returns false (leaving `out` partially written)
-/// when the token watch signals a jump-out; it is polled at least every
-/// kPoll values.
+/// The restructuring helper's gather: stages the staged operand values of
+/// iterations [begin, end) into `out`, in stream order.  Each value is one
+/// plain load at its staged slot's array and width.  Returns false (leaving
+/// `out` partially written) when the token watch signals a jump-out; it is
+/// polled at least every kPoll values.
 bool gather_staged(const MaterializedLoop& loop, std::uint64_t begin,
                    std::uint64_t end, std::uint64_t* out,
                    const rt::TokenWatch& watch) {
@@ -189,8 +187,8 @@ bool gather_staged(const MaterializedLoop& loop, std::uint64_t begin,
   return true;
 }
 
-/// The prefetch helper, shared by both engines: touches every operand line
-/// of iterations [begin, end), polling the token watch every 64 iterations.
+/// The prefetch helper: touches every operand line of iterations
+/// [begin, end), polling the token watch every 64 iterations.
 bool prefetch_span(const MaterializedLoop& loop, std::uint64_t begin,
                    std::uint64_t end, const rt::TokenWatch& watch) {
   for (std::uint64_t it = begin; it < end; ++it) {
@@ -287,12 +285,16 @@ ExecResult run_reference(MaterializedLoop& loop) {
 
 namespace {
 
-/// One cascaded run against the arrays' CURRENT contents (see
-/// reference_no_reset): the body of the per-loop run_cascaded entry point,
-/// also the per-stage engine of run_pipeline_independent.
+/// The one staging engine: a cascaded run of `loop` against the arrays'
+/// CURRENT contents (see reference_no_reset).  run_cascaded and
+/// run_pipeline_independent run it over each loop's own staging region;
+/// run_pipeline_cascaded passes the chain's arena (`arena`) instead.  A
+/// restructure run stages chunk c at region + 8 * staged_refs_before(begin),
+/// the flat layout of the whole staged stream, and chunk c's execution phase
+/// reads its values from there.
 ExecResult cascaded_no_reset(MaterializedLoop& loop,
                              rt::CascadeExecutor& executor,
-                             const RtOptions& opt) {
+                             const RtOptions& opt, StagingRegion arena = {}) {
   const std::uint64_t total = loop.num_iterations();
   std::uint64_t ipc = opt.iters_per_chunk;
   if (ipc == 0) ipc = plan_for(loop, opt.chunk_bytes).iters_per_chunk();
@@ -313,41 +315,35 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
   // visible to the next execution phase.
   std::uint64_t acc = MaterializedLoop::kAccSeed;
 
-  auto staged_in = [&](std::uint64_t begin, std::uint64_t end) {
-    return loop.staged_refs_before(end) - loop.staged_refs_before(begin);
-  };
-
   // Helper and execution phase of chunk c run on the same worker (c mod P),
   // so the staged flags need no synchronization.
   std::vector<char> chunk_staged(num_chunks, 0);
   rt::PreflightGate gate = rt::PreflightGate::proven();
-  rt::PerWorkerBuffers* buffers = nullptr;
-  std::unique_ptr<rt::PerWorkerBuffers> buffers_owned;
+  std::uint64_t* staged_base = nullptr;
   if (opt.helper == HelperMode::kRestructure) {
-    // Prove the geometry this run executes, before sizing: the first proof
-    // may restage what a certificate re-enables (adding staged slots), so
-    // the buffers are sized after it.
+    // Prove the geometry this run executes before locating the region: the
+    // first proof may restage what a certificate re-enables, which grows the
+    // staged stream.  A stage spec's claims are honest, so its proof never
+    // holds a certificate and this gate is its strict verdict.
     gate = ring_gate(loop.restructure_proof(ipc, &result.gate_seconds),
                      executor.num_threads(), nullptr);
-    const std::uint64_t capacity = std::max<std::uint64_t>(
-        64, std::uint64_t{loop.body_shape().staged_reads} * ipc * 8);
-    buffers_owned = std::make_unique<rt::PerWorkerBuffers>(
-        executor.num_threads(), capacity, ipc, opt.lookahead);
-    buffers = buffers_owned.get();
+    const StagingRegion region =
+        arena.data != nullptr ? arena : loop.staging_region();
+    CASC_CHECK(region.bytes >= loop.staged_refs_total() * sizeof(std::uint64_t),
+               "staging region does not hold the loop's staged stream");
+    staged_base = reinterpret_cast<std::uint64_t*>(region.data);
   }
 
   auto exec = [&](std::uint64_t begin, std::uint64_t end) {
-    const std::uint64_t c = begin / ipc;
     // The fail-soft context gates the staged path: a reclaimed chunk runs on
-    // a non-owner thread (whose buffers these are not — and the short-circuit
-    // also keeps it from touching the owner's chunk_staged slot), and a
-    // suspect-staging chunk must ignore whatever its faulty helper committed.
+    // a non-owner thread (the short-circuit keeps it from touching the
+    // owner's chunk_staged slot), and a suspect-staging chunk must ignore
+    // whatever its faulty helper committed.
     const rt::ExecContext& ctx = executor.current_exec_context();
-    if (buffers != nullptr && !ctx.reclaimed && !ctx.staging_invalid &&
-        chunk_staged[c] != 0) {
-      auto cursor = buffers->for_chunk_index(c).read_cursor<std::uint64_t>(
-          staged_in(begin, end));
-      acc = interpret_staged(loop, begin, end, acc, cursor.data());
+    if (!ctx.reclaimed && !ctx.staging_invalid &&
+        chunk_staged[begin / ipc] != 0) {
+      acc = interpret_staged(loop, begin, end, acc,
+                             staged_base + loop.staged_refs_before(begin));
     } else {
       acc = interpret_generic(loop, begin, end, acc);
     }
@@ -360,19 +356,13 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
 
   auto restructure_helper = [&](std::uint64_t begin, std::uint64_t end,
                                 const rt::TokenWatch& watch) -> bool {
-    const std::uint64_t c = begin / ipc;
-    rt::SequentialBuffer& buf = buffers->for_chunk_index(c);
-    buf.reset();
-    const std::uint64_t n = staged_in(begin, end);
-    auto cursor = buf.write_cursor<std::uint64_t>(n);
-    // Abandoning the uncommitted cursor discards the partial staging; the
-    // execution phase falls back to loading from the arrays.
-    if (!gather_staged(loop, begin, end, cursor.reserve_span(n), watch)) {
+    // A jump-out abandons the partially gathered chunk; its flag stays clear
+    // and execution falls back to loading from the arrays.
+    if (!gather_staged(loop, begin, end,
+                       staged_base + loop.staged_refs_before(begin), watch)) {
       return false;
     }
-    cursor.advance(n);
-    cursor.commit();
-    chunk_staged[c] = 1;
+    chunk_staged[begin / ipc] = 1;
     return true;
   };
 
@@ -384,7 +374,7 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
   }
 
   // Chaos arming: wrap the run's helper in the planned fault schedule.  The
-  // owning HelperFn locals keep the armed wrappers alive across run().
+  // owning HelperFn local keeps the armed wrapper alive across run().
   const bool chaos_on = opt.chaos != nullptr && !opt.chaos->empty();
   rt::HelperFn armed;
 
@@ -408,7 +398,7 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
         executor.run(total, ipc, exec, prefetch_helper);
       }
       break;
-    case HelperMode::kRestructure: {
+    case HelperMode::kRestructure:
       if (chaos_on) {
         armed = opt.chaos->arm(restructure_helper);
         executor.run(total, ipc, exec, armed, gate);
@@ -416,7 +406,6 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
         executor.run(total, ipc, exec, restructure_helper, gate);
       }
       break;
-    }
   }
   result.seconds = watch.elapsed_seconds();
 
@@ -439,6 +428,10 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
   return result;
 }
 
+std::uint64_t fold_chain(std::uint64_t chain, std::uint64_t digest) {
+  return MaterializedLoop::mix(chain, digest);
+}
+
 }  // namespace
 
 ExecResult run_cascaded(MaterializedLoop& loop, rt::CascadeExecutor& executor,
@@ -450,173 +443,6 @@ ExecResult run_cascaded(MaterializedLoop& loop, rt::CascadeExecutor& executor,
 }
 
 // ---- pipelines -------------------------------------------------------------
-
-namespace {
-
-/// Staging state of one arena region, carried from the stage that gathered
-/// it to the stages the plan lets replay it.  The executor's run() return is
-/// the happens-before edge: by the time a later stage consults these, every
-/// helper write of the gather stage is visible.
-struct RegionState {
-  std::vector<char> chunk_staged;  ///< per-chunk commit flags (gather stage)
-  std::uint64_t ipc = 0;           ///< the gather stage's chunk geometry
-  /// The gather ran clean: staging committed under a proven gate with no
-  /// helper faults, reclaimed chunks, or invalidated stagings.  Anything
-  /// less and successor stages fall back to full re-staging — reuse is
-  /// health-gated on top of the plan's proof.
-  bool trustworthy = false;
-};
-
-/// Runs one pipeline stage on `executor` against the chain's CURRENT array
-/// state, staging through the stage's arena `region` (flat layout: staged
-/// reference p of the loop lives at region + 8p, so chunk geometry never
-/// shifts the bytes).  With `reuse` the stage gathers nothing and executes
-/// against the staged stream `rs` describes; otherwise it stages into the
-/// region itself and rewrites `rs` for its successors.
-ExecResult run_stage_arena(MaterializedLoop& loop,
-                           rt::CascadeExecutor& executor, const RtOptions& opt,
-                           std::byte* region, RegionState& rs, bool reuse) {
-  const std::uint64_t total = loop.num_iterations();
-  std::uint64_t ipc = opt.iters_per_chunk;
-  if (ipc == 0 && reuse) ipc = rs.ipc;  // align chunks with the gather's flags
-  if (ipc == 0) ipc = plan_for(loop, opt.chunk_bytes).iters_per_chunk();
-  CASC_CHECK(ipc > 0, "iters_per_chunk must be positive");
-  const std::uint64_t num_chunks = total == 0 ? 0 : (total + ipc - 1) / ipc;
-
-  ExecResult result;
-  result.total_iters = total;
-  result.iters_per_chunk = ipc;
-  result.num_chunks = std::max<std::uint64_t>(1, num_chunks);
-  if (total == 0) {
-    result.digest = MaterializedLoop::kAccSeed;
-    return result;
-  }
-
-  if (reuse && (rs.ipc != ipc || rs.chunk_staged.size() != num_chunks)) {
-    // Geometry drifted from the gather stage; the commit flags no longer
-    // map chunk-for-chunk, so fall back to gathering afresh.  Unreachable
-    // under the pipeline runner (full_reuse implies the same trip/step and
-    // a reuse stage adopts the gather's ipc), but cheap to keep honest.
-    reuse = false;
-  }
-  const bool staging = opt.helper == HelperMode::kRestructure &&
-                       region != nullptr && !reuse;
-
-  std::uint64_t acc = MaterializedLoop::kAccSeed;
-  std::vector<char> chunk_staged(num_chunks, 0);
-  std::uint64_t* const staged_base = reinterpret_cast<std::uint64_t*>(region);
-
-  rt::PreflightGate gate = rt::PreflightGate::proven();
-  if (staging) {
-    // Stage specs carry derived (hence honest) read-only claims, so the
-    // strict verdict is the whole story here: no demotions exist for a
-    // certificate to overturn, and the staged stream always matches the
-    // plan's signature — which is what sized the region.
-    gate = strict_gate(loop.restructure_proof(ipc, &result.gate_seconds));
-  }
-
-  auto exec = [&](std::uint64_t begin, std::uint64_t end) {
-    const std::uint64_t c = begin / ipc;
-    const rt::ExecContext& ctx = executor.current_exec_context();
-    const std::uint64_t* staged = nullptr;
-    if (!ctx.reclaimed && !ctx.staging_invalid) {
-      if (reuse && rs.chunk_staged[c] != 0) {
-        staged = staged_base + loop.staged_refs_before(begin);
-      } else if (staging && chunk_staged[c] != 0) {
-        staged = staged_base + loop.staged_refs_before(begin);
-      }
-    }
-    acc = staged != nullptr ? interpret_staged(loop, begin, end, acc, staged)
-                            : interpret_generic(loop, begin, end, acc);
-  };
-
-  auto prefetch_helper = [&](std::uint64_t begin, std::uint64_t end,
-                             const rt::TokenWatch& watch) -> bool {
-    return prefetch_span(loop, begin, end, watch);
-  };
-
-  auto arena_helper = [&](std::uint64_t begin, std::uint64_t end,
-                          const rt::TokenWatch& watch) -> bool {
-    // A jump-out abandons the partially gathered chunk; its commit flag
-    // stays clear and execution falls back to direct array loads.
-    if (!gather_staged(loop, begin, end,
-                       staged_base + loop.staged_refs_before(begin), watch)) {
-      return false;
-    }
-    chunk_staged[begin / ipc] = 1;
-    return true;
-  };
-
-  if (opt.soft_budget_factor > 0.0 && opt.estimated_seq_seconds > 0.0) {
-    const auto demote_ms = std::chrono::milliseconds(std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(opt.soft_budget_factor *
-                                     opt.estimated_seq_seconds * 1e3)));
-    executor.set_soft_budget(demote_ms, 2 * demote_ms);
-  }
-
-  const bool chaos_on = opt.chaos != nullptr && !opt.chaos->empty();
-  rt::HelperFn armed;
-
-  common::Stopwatch watch;
-  if (staging) {
-    if (chaos_on) {
-      armed = opt.chaos->arm(arena_helper);
-      executor.run(total, ipc, exec, armed, gate);
-    } else {
-      executor.run(total, ipc, exec, arena_helper, gate);
-    }
-  } else if (opt.helper == HelperMode::kPrefetch && !reuse) {
-    if (chaos_on) {
-      armed = opt.chaos->arm(prefetch_helper);
-      executor.run(total, ipc, exec, armed);
-    } else {
-      executor.run(total, ipc, exec, prefetch_helper);
-    }
-  } else {
-    // No helper phase: a reuse stage has nothing to gather, and a none-mode
-    // (or stage-nothing) run executes straight from the arrays.
-    if (chaos_on) {
-      armed = opt.chaos->arm(nullptr);
-      executor.run(total, ipc, exec, armed);
-    } else {
-      executor.run(total, ipc, exec);
-    }
-  }
-  result.seconds = watch.elapsed_seconds();
-
-  const rt::RunStats& stats = executor.last_run_stats();
-  result.transfers = stats.transfers;
-  result.helpers_completed = stats.helpers_completed;
-  result.helpers_jumped_out = stats.helpers_jumped_out;
-  result.preflight_refused = stats.preflight_refused;
-  result.preflight_diag = stats.preflight_diag;
-  result.helper_faults = stats.helper_faults;
-  result.chunks_reclaimed = stats.chunks_reclaimed;
-  result.helper_retries = stats.helper_retries;
-  result.stagings_invalidated = stats.stagings_invalidated;
-  result.workers_quarantined = stats.workers_quarantined;
-  result.demotion_level = stats.demotion_level;
-  result.degraded = stats.degraded();
-  result.staged_chunks = static_cast<std::uint64_t>(std::count(
-      reuse ? rs.chunk_staged.begin() : chunk_staged.begin(),
-      reuse ? rs.chunk_staged.end() : chunk_staged.end(), char{1}));
-  result.digest = acc;
-
-  if (!reuse) {
-    rs.chunk_staged = std::move(chunk_staged);
-    rs.ipc = ipc;
-    rs.trustworthy = staging && !stats.preflight_refused &&
-                     stats.helper_faults == 0 && stats.chunks_reclaimed == 0 &&
-                     stats.stagings_invalidated == 0;
-  }
-  return result;
-}
-
-std::uint64_t fold_chain(std::uint64_t chain, std::uint64_t digest) {
-  return MaterializedLoop::mix(chain, digest);
-}
-
-}  // namespace
 
 PipelineResult run_pipeline_reference(MaterializedPipeline& pipe) {
   pipe.reset();
@@ -642,19 +468,14 @@ PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
   pipe.reset();
   PipelineResult out;
   std::uint64_t chain = MaterializedLoop::kAccSeed;
-  RegionState rs;
   common::Stopwatch watch;
   for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
-    const analysis::StagePlan& sp = pipe.plan().stages[k];
-    if (sp.region_of == k) rs = RegionState{};  // entering a fresh region
-    const bool reuse = opt.helper == HelperMode::kRestructure &&
-                       pipe.reuses_previous(k) && rs.trustworthy;
+    std::byte* const region = pipe.region(k);
     PipelineStageResult stage;
     stage.name = pipe.spec().stages[k].name;
-    stage.result =
-        run_stage_arena(pipe.stage(k), executor, opt, pipe.region(k), rs, reuse);
-    stage.reused_staging = reuse;
-    if (reuse) ++out.stages_reused;
+    stage.result = cascaded_no_reset(
+        pipe.stage(k), executor, opt,
+        {region, region == nullptr ? 0 : pipe.plan().arena_bytes});
     chain = fold_chain(chain, stage.result.digest);
     out.stages.push_back(std::move(stage));
   }

@@ -14,16 +14,22 @@
 //   * prefetch:    force_load every operand line of the coming chunk,
 //                  polling the token watch to jump out;
 //   * restructure: stage every proven-read-only operand VALUE of the coming
-//                  chunk into the worker's rt::SequentialBuffer (uncommitted
-//                  write cursor, so a jump-out leaves the buffer untouched)
-//                  or the pipeline's arena, one plain load per value at its
-//                  slot's array and width (MaterializedLoop::body_shape());
+//                  chunk into a staging region, one plain load per value at
+//                  its slot's array and width (MaterializedLoop::body_shape());
 //                  the execution phase then drains values strictly
 //                  sequentially instead of gathering them, and takes its
 //                  remaining load and store addresses from the loop's
-//                  compact direct offset stream.
+//                  compact direct offset stream.  A jump-out leaves the
+//                  chunk unflagged, and it executes from the arrays.
 // The reference, the prefetch mode and every chunk that was not staged run
 // the generic interpreter over the resolved ResolvedRef stream.
+//
+// One staging engine runs every cascaded path.  A single loop is a one-stage
+// chain: run_cascaded and run_pipeline_independent stage through the loop's
+// own region (MaterializedLoop::staging_region), run_pipeline_cascaded
+// through the chain's one arena (MaterializedPipeline::region).  Either way
+// staged reference p lives at word p of the region, so the chunk geometry
+// never shifts the bytes.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +55,6 @@ struct RtOptions {
   std::uint64_t chunk_bytes = 64 * 1024;
   /// Explicit override; 0 derives from chunk_bytes like the simulator does.
   std::uint64_t iters_per_chunk = 0;
-  /// Sequential-buffer ring depth per worker (restructure only).
-  unsigned lookahead = 2;
   /// Seeded helper-fault schedule (non-owning; must outlive the run).  The
   /// planned faults are armed onto the run's helper phases — with
   /// HelperMode::kNone a no-op helper is installed so the faults still fire.
@@ -150,8 +154,8 @@ ExecResult run_cascaded(MaterializedLoop& loop, rt::CascadeExecutor& executor,
 /// Outcome of one stage within a pipeline run.
 struct PipelineStageResult {
   std::string name;  ///< stage name (without the pipeline prefix)
-  /// The stage executed against its predecessor's staged stream instead of
-  /// re-gathering (plan-proven AND the predecessor's staging ran clean).
+  /// Always false: every restructured stage gathers its own stream.  Kept
+  /// only because perfbench still reads it (ROADMAP.md).
   bool reused_staging = false;
   ExecResult result;
 };
@@ -168,6 +172,7 @@ struct PipelineResult {
   /// Wall time of the stage loop, from the first stage's start to the last
   /// stage's end; excludes the chain's reset and checksum.
   double seconds = 0.0;
+  /// Always 0 (see PipelineStageResult::reused_staging).
   std::uint64_t stages_reused = 0;
   std::vector<PipelineStageResult> stages;
 
@@ -185,22 +190,19 @@ struct PipelineResult {
 PipelineResult run_pipeline_reference(MaterializedPipeline& pipe);
 
 /// The pipelined cascade: every stage runs on the SAME executor — the token
-/// ring never tears down between loops — staging goes through the pipeline's
-/// plan-placed arena, and a stage the survival pass certified replays its
-/// predecessor's staged stream instead of re-gathering.  Reuse is proof- AND
-/// health-gated: an uncertified pair, a refused gate, or a degraded
-/// predecessor (faults, reclaims, invalidated stagings) falls back to full
-/// re-staging; chunks whose staging never committed fall back to direct
-/// array loads.  Digests are unconditionally bit-identical to the reference.
+/// ring never tears down between loops — and every restructured stage
+/// gathers into the chain's one staging arena; chunks whose staging never
+/// committed fall back to direct array loads.  Digests are unconditionally
+/// bit-identical to the reference.
 PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
                                      rt::CascadeExecutor& executor,
                                      const RtOptions& opt = {});
 
 /// The baseline the pipeline is measured against: the same chain over the
 /// same shared arrays, but each stage as an INDEPENDENT cascade — a fresh
-/// executor (ring built up and torn down per loop), per-stage staging
-/// buffers, full re-gathering every stage.  Digest-identical to the other
-/// two paths by construction.
+/// executor (ring built up and torn down per loop) and each stage loop's own
+/// staging region.  Digest-identical to the other two paths by
+/// construction.
 PipelineResult run_pipeline_independent(MaterializedPipeline& pipe,
                                         unsigned num_threads,
                                         const RtOptions& opt = {});

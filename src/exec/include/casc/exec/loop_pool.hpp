@@ -11,9 +11,10 @@
 // materializes only on a pool miss.  A reused instance also keeps the
 // restructure proofs its earlier runs paid for
 // (MaterializedLoop::restructure_proof), so a repeat job skips the analyzer
-// as well.  Pipelines pool the same way — a cached
-// MaterializedPipeline additionally keeps its survival plan and placed
-// staging arena, so a repeat chain skips planning AND placement.
+// as well, and keeps the staging region its first restructure run
+// allocated.  Pipelines pool the same way — a cached MaterializedPipeline
+// additionally keeps its staging plan and arena, so a repeat chain skips
+// planning and the arena allocation too.
 //
 // Thread-safe.  A lease is move-only RAII: destruction returns the instance
 // to the pool.  The per-key cap drops a release whose bucket is already full
@@ -130,8 +131,8 @@ class LoopPool {
                                   const std::string& key);
 
   /// Pipeline counterpart of acquire(): key by the pipeline's canonical text.
-  /// A hit skips stage materialization, survival planning, and arena
-  /// placement in one go.
+  /// A hit skips stage materialization, planning, and the arena allocation
+  /// in one go.
   [[nodiscard]] PipelineLease acquire_pipeline(const loopir::PipelineSpec& spec,
                                                const std::string& key);
 

@@ -108,6 +108,13 @@ struct RestructureProof {
   std::optional<analysis::Certificate> certificate;
 };
 
+/// Room for a staged stream: the restructuring helper stages staged
+/// reference p of a loop as the 8-byte word at data + 8p.
+struct StagingRegion {
+  std::byte* data = nullptr;
+  std::uint64_t bytes = 0;
+};
+
 /// A spec with real backing arrays and a pre-resolved reference stream.
 class MaterializedLoop {
  public:
@@ -157,6 +164,13 @@ class MaterializedLoop {
   /// FNV-1a over the bytes of every writable (non-read-only) array — the
   /// loop's observable output state.
   [[nodiscard]] std::uint64_t rw_checksum() const;
+
+  /// The loop's own staging region, holding its whole staged stream (empty
+  /// when the loop stages nothing).  Allocated by the first restructure run
+  /// that stages through it, after that run's proof (a certifying proof may
+  /// restage the loop and grow the stream), and kept for the loop's
+  /// lifetime, across runs and pool leases.
+  [[nodiscard]] StagingRegion staging_region();
 
   // ---- resolved stream ----------------------------------------------------
 
@@ -270,6 +284,7 @@ class MaterializedLoop {
   mutable std::vector<std::uint32_t> staged_arrays_;
   mutable std::vector<std::uint8_t> staged_sizes_;
   mutable std::vector<std::uint64_t> direct_offsets_;  // direct stream
+  common::AlignedStorage staging_;  // see staging_region()
   // Write-once proofs, one per executed chunk geometry (iterations per
   // chunk); std::map keeps handed-out references stable.
   mutable std::mutex proofs_mutex_;

@@ -4,11 +4,10 @@
 // aligned allocation per declared array, shared by every stage through
 // MaterializedLoop's storage binder — so stage k's writes are stage k+1's
 // operand values, exactly like consecutive loops of a real program over the
-// same arrays.  It also owns the chain's single staging ARENA, sized and
-// laid out by the analysis placement pass (analysis::plan_pipeline):
-// a run of stages the survival pass proved reuse-equivalent shares one
-// region (the first stage gathers, the rest replay), and regions with
-// disjoint live ranges share arena bytes.
+// same arrays.  It also owns the chain's single staging ARENA, sized by the
+// analysis plan (analysis::plan_pipeline) to the largest stage's staged
+// stream: stages run one after another, and each restructured stage gathers
+// its own stream into the arena.
 //
 // Interpretation semantics are per-stage MaterializedLoop semantics; the
 // chain-level result is the FNV fold of the stage digests plus ONE checksum
@@ -33,7 +32,7 @@
 namespace casc::exec {
 
 /// A pipeline spec with shared real backing arrays, per-stage resolved
-/// streams, and the plan-placed staging arena.
+/// streams, and the one staging arena.
 class MaterializedPipeline {
  public:
   /// Materializes every stage against shared storage.  Throws CheckFailure
@@ -60,18 +59,18 @@ class MaterializedPipeline {
   /// declaration order — the chain's observable output state.
   [[nodiscard]] std::uint64_t rw_checksum() const;
 
-  /// Stage k's staging region inside the shared arena, or nullptr when the
-  /// stage stages nothing.  A full-reuse run of stages returns the SAME
-  /// pointer — that aliasing is the buffer reuse.
+  /// Stage k's staging region: the shared arena, or nullptr when the stage
+  /// stages nothing.  Every staging stage gets the same arena, whose
+  /// plan().arena_bytes bytes hold any one stage's staged stream.
   [[nodiscard]] std::byte* region(std::size_t k) noexcept {
-    const analysis::StagePlan& sp = plan_.stages[k];
-    if (sp.region_bytes == 0) return nullptr;
-    return arena_.data() + sp.region_offset;
+    return plan_.stages[k].staged_bytes == 0 ? nullptr : arena_.data();
   }
 
-  /// True when the plan proved stage k may replay stage k-1's staged stream.
-  [[nodiscard]] bool reuses_previous(std::size_t k) const noexcept {
-    return k > 0 && plan_.pairs[k - 1].full_reuse;
+  /// Always false: every restructured stage gathers its own stream.  Kept
+  /// only because perfbench still reads it; it goes when perfbench stops
+  /// (ROADMAP.md).
+  [[nodiscard]] bool reuses_previous(std::size_t /*k*/) const noexcept {
+    return false;
   }
 
  private:

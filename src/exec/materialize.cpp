@@ -13,10 +13,11 @@ namespace casc::exec {
 
 namespace {
 
-/// Materialization cap: the resolved stream costs 16 bytes per reference and
-/// the offset streams 8 to 13 more, so this bounds the bridge at ~480 MB of
-/// streams — far above every spec in the tree, far below anything that could
-/// take the host down.
+/// Materialization cap: the resolved stream costs 16 bytes per reference,
+/// the offset streams 8 to 13 more, and a restructured loop's staging region
+/// 8 more per staged reference, so this bounds the bridge at ~620 MB —
+/// far above every spec in the tree, far below anything that could take the
+/// host down.
 constexpr std::uint64_t kMaxResolvedRefs = 1ull << 24;
 
 /// The rules a race certificate may overturn: the claims said read-only, and
@@ -277,6 +278,13 @@ std::uint64_t MaterializedLoop::load(const ResolvedRef& ref) const noexcept {
 void MaterializedLoop::store(const ResolvedRef& ref, std::uint64_t value) noexcept {
   std::memcpy(data_[ref.array] + ref.offset, &value,
               std::min<std::size_t>(ref.size, 8));
+}
+
+StagingRegion MaterializedLoop::staging_region() {
+  const std::uint64_t bytes = staged_refs_total() * sizeof(std::uint64_t);
+  if (bytes == 0) return {};
+  if (staging_.size() < bytes) staging_ = common::AlignedStorage(bytes);
+  return {staging_.data(), staging_.size()};
 }
 
 std::uint64_t MaterializedLoop::rw_checksum() const {

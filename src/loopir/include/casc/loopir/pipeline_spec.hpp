@@ -5,9 +5,11 @@
 // blocks that access it.  Each loop block lowers to a plain LoopSpec
 // (stage_spec()), so every existing consumer — the analysis verifier, the
 // materializer, both backends — sees ordinary loop nests; what the pipeline
-// adds is the SHARED namespace the cross-loop survival planner
+// adds is the SHARED namespace the staging planner
 // (casc::analysis::plan_pipeline) and the shared-storage materializer
-// (casc::exec::MaterializedPipeline) reason over.
+// (casc::exec::MaterializedPipeline) reason over.  stage_spec() marks
+// exactly the arrays a stage writes as rw, so a stage's read-only claims
+// are honest by construction.
 //
 // Format (one directive per line; '#' starts a comment):
 //
@@ -26,10 +28,10 @@
 // Arrays live at pipeline scope only: a loop block references them but cannot
 // declare its own.  Writes to a pipeline-`ro` array are rejected
 // ("pipeline-write-ro").  A loop may write an `index` array — that is how a
-// chain models an index rebuild between gathers, and it is exactly the case
-// the survival planner must REFUSE to reuse staged state across — but the
-// same loop cannot also gather `via` that array ("pipeline-write-via"): a
-// self-invalidating stage has no coherent single-loop semantics.
+// chain models an index rebuild between gathers, after which later gathers
+// route through the rebuilt indices — but the same loop cannot also gather
+// `via` that array ("pipeline-write-via"): a self-invalidating stage has no
+// coherent single-loop semantics.
 #pragma once
 
 #include <cstdint>

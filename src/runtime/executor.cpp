@@ -5,7 +5,7 @@
 
 #include "casc/common/check.hpp"
 #include "casc/common/stopwatch.hpp"
-#include "casc/rt/adaptive.hpp"
+#include "casc/core/chunk.hpp"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -625,8 +625,9 @@ void CascadeExecutor::run(std::uint64_t total_iters, std::uint64_t iters_per_chu
   }
 }
 
-void CascadeExecutor::run_auto(std::uint64_t total_iters, AdaptiveChunker& chunker,
-                               ExecRef exec, HelperRef helper) {
+void CascadeExecutor::run_auto(std::uint64_t total_iters,
+                               core::AdaptiveChunker& chunker, ExecRef exec,
+                               HelperRef helper) {
   common::Stopwatch sw;
   run(total_iters, chunker.current(), exec, helper);
   // The chunker's model divides by both inputs; a degenerate call (empty

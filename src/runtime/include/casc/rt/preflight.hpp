@@ -3,8 +3,8 @@
 // The real-thread runtime executes opaque lambdas, so it cannot analyze a
 // loop's accesses itself; instead the caller presents a PreflightGate built
 // from an analysis verdict (casc::analysis::analyze over the loop's spec, or
-// casc::cascade::preflight_verify over its reference stream).  A gate either
-// carries a proof ("every operand the helper stages is read-only") or a
+// casc::analysis::verify_ref_stream over its reference stream).  A gate
+// either carries a proof ("every operand the helper stages is read-only") or a
 // refusal diagnostic.  Gated entry points (CascadeExecutor::run overload,
 // RestructuredLoop::run overload) consult the gate before letting a helper
 // stage values:

@@ -38,7 +38,7 @@
 #include "casc/common/check.hpp"
 #include "casc/common/simd.hpp"
 #include "casc/common/stopwatch.hpp"
-#include "casc/rt/adaptive.hpp"
+#include "casc/core/chunk.hpp"
 #include "casc/rt/executor.hpp"
 #include "casc/rt/fault_injection.hpp"
 #include "casc/rt/helpers.hpp"
@@ -396,7 +396,7 @@ class RestructuredLoop {
   CascadeExecutor& executor_;
   RestructuredOptions options_;
   PerWorkerBuffers buffers_;
-  std::optional<AdaptiveChunker> chunker_;
+  std::optional<core::AdaptiveChunker> chunker_;
   std::vector<char> staged_;  // distinct bytes written by distinct workers
   std::atomic<std::uint64_t> stats_local_staged_{0};
   std::atomic<std::uint64_t> stats_local_ahead_{0};

@@ -269,7 +269,8 @@ void SvcServer::handle_submit(const std::shared_ptr<Connection>& conn,
   }
 
   // Pipeline chains are a batch-side feature (cascsim / bench run them whole
-  // against the plan-placed arena); the service schedules single-loop jobs.
+  // through the chain's staging arena); the service schedules single-loop
+  // jobs.
   // Detect the directive BEFORE LoopSpec::parse so the client hears which
   // FEATURE is unsupported, not a bogus "unknown directive" syntax error.
   if (loopir::is_pipeline_text(req.spec_text)) {

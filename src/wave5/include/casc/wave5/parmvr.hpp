@@ -45,10 +45,10 @@ std::vector<loopir::LoopNest> make_parmvr(unsigned scale = 1);
 /// shared particle-arrays namespace, so loop k's writes are loop k+1's
 /// operand values.  The gather phases are the point: adjacent components
 /// read the IDENTICAL gathered field stream (same index array, same
-/// operands, different write target), which the cross-loop survival planner
-/// proves reusable — the first component gathers, the siblings replay its
-/// staged stream.  This is the flagship pipeline bench subject
-/// (bench_rt_pipeline: one pipeline vs 15 independent cascades).
+/// operands, different write target), and each component gathers it
+/// afresh through the chain's one staging arena.  This is the flagship
+/// pipeline bench subject (bench_rt_pipeline: one pipeline vs 15
+/// independent cascades).
 loopir::PipelineSpec make_parmvr_pipeline(unsigned scale = 1);
 
 }  // namespace casc::wave5

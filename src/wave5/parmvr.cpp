@@ -377,7 +377,7 @@ loopir::PipelineSpec make_parmvr_pipeline(unsigned scale) {
   constexpr bool kR = false, kW = true;
   // The three field-gather components (and the two sorted gathers, and the
   // two tail gathers) read IDENTICAL staged streams and differ only in the
-  // write target — the engineered survival pairs the planner must prove.
+  // write target; each gathers its own copy.
   stage("charge_sweep", 25, {}, {{"Q", kR}, {"SC", kW}});
   stage("weight_blend", 65, {}, {{"Q", kR}, {"W", kR}, {"SC", kW}});
   stage("field_gather_x", 75, 60, {{"EF", kR, 0, "CELL"}, {"W", kR}, {"VX", kW}});

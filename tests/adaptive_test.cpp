@@ -5,12 +5,12 @@
 #include <cmath>
 
 #include "casc/common/check.hpp"
-#include "casc/rt/adaptive.hpp"
+#include "casc/core/chunk.hpp"
 
 namespace {
 
 using casc::common::CheckFailure;
-using casc::rt::AdaptiveChunker;
+using casc::core::AdaptiveChunker;
 
 /// Synthetic performance profile with a single optimum at `best`:
 /// throughput decays with the log-distance from the optimum.

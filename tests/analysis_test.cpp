@@ -12,7 +12,10 @@
 #include "casc/analysis/verifier.hpp"
 #include "casc/common/check.hpp"
 #include "casc/common/diagnostic.hpp"
+#include "casc/core/workload.hpp"
+#include "casc/loopir/pipeline_spec.hpp"
 #include "casc/trace/trace.hpp"
+#include "casc/wave5/parmvr.hpp"
 #include "json_mini.hpp"
 
 namespace {
@@ -266,6 +269,137 @@ TEST(Shadow, CleanLoopPassesWithFootprintContainment) {
   EXPECT_EQ(report.out_of_extent_refs, 0u);
   EXPECT_GT(report.staged_bytes, 0u);
   EXPECT_LE(report.peak_chunk_bytes, fp.per_chunk_bound);
+}
+
+TEST(Shadow, PinsEveryFullScaleParmvrStage) {
+  // The analyzer's shadow report for each stage of the benchmarked PARMVR
+  // chain, at the default 64 KiB chunk geometry.  The staged footprint and
+  // the per-chunk peaks are what a restructure proof rests on, so any change
+  // in how the checker counts them shows up here.
+  struct Pinned {
+    std::uint64_t refs_checked, staged_bytes, peak_chunk_bytes,
+        violating_writes, cross_chunk_hazards;
+  };
+  const Pinned kPinned[] = {
+      {262144, 1048576, 65536, 0, 0},  // charge_sweep
+      {393216, 2097152, 65520, 0, 0},  // weight_blend
+      {524288, 2621440, 65520, 0, 0},  // field_gather_x
+      {524288, 2621440, 65520, 0, 0},  // field_gather_y
+      {524288, 2621440, 65520, 0, 0},  // field_gather_z
+      {393216, 2097152, 65520, 0, 0},  // push_x
+      {393216, 2097152, 65520, 0, 0},  // push_y
+      {393216, 2097152, 65520, 0, 0},  // push_z
+      {524288, 2621440, 65520, 0, 0},  // sorted_gather_q
+      {524288, 2621440, 65520, 0, 0},  // sorted_gather_cur
+      {655360, 2097152, 39328, 0, 0},  // smooth_rho
+      {393216, 1048576, 43680, 0, 0},  // current_blend
+      {524288, 2621440, 65520, 0, 0},  // tail_gather_a
+      {524288, 2621440, 65520, 0, 0},  // tail_gather_b
+      {524288, 2097152, 49152, 0, 0},  // deposit_sweep
+  };
+  const casc::loopir::PipelineSpec chain = casc::wave5::make_parmvr_pipeline(1);
+  ASSERT_EQ(chain.stages.size(), std::size(kPinned));
+  for (std::size_t k = 0; k < chain.stages.size(); ++k) {
+    const AnalysisReport report = casc::analysis::analyze(chain.stage_spec(k));
+    ASSERT_TRUE(report.shadow_ran) << chain.stages[k].name;
+    const casc::analysis::ShadowReport& got = report.shadow;
+    const Pinned& want = kPinned[k];
+    EXPECT_EQ(got.refs_checked, want.refs_checked) << chain.stages[k].name;
+    EXPECT_EQ(got.staged_bytes, want.staged_bytes) << chain.stages[k].name;
+    EXPECT_EQ(got.peak_chunk_bytes, want.peak_chunk_bytes) << chain.stages[k].name;
+    EXPECT_EQ(got.violating_writes, want.violating_writes) << chain.stages[k].name;
+    EXPECT_EQ(got.cross_chunk_hazards, want.cross_chunk_hazards)
+        << chain.stages[k].name;
+  }
+}
+
+/// A hand-built trace over a claimed-read-only array `r` and an rw array
+/// `w`, 8 iterations per chunk.  Every iteration reads r+0 three times (in
+/// chunk 0 first at width 8, then at width 2), reads r+64, and writes its own
+/// element of w.  Iteration 2 writes r+64, whose last staged read is in the
+/// last chunk, and iteration 5 reads one address outside every claim.
+class TwoWidthWorkload final : public casc::core::Workload {
+ public:
+  static constexpr std::uint64_t kR = 0x10000;
+  static constexpr std::uint64_t kW = 0x20000;
+  static constexpr std::uint64_t kOutside = 0x90000;
+
+  [[nodiscard]] std::uint64_t num_iterations() const override { return 32; }
+  [[nodiscard]] std::uint32_t compute_cycles() const override { return 1; }
+  [[nodiscard]] std::uint32_t restructured_compute_cycles() const override {
+    return 1;
+  }
+  [[nodiscard]] std::uint64_t bytes_per_iteration() const override { return 16; }
+  [[nodiscard]] std::uint64_t buffer_bytes_per_iteration() const override {
+    return 0;
+  }
+  void refs_for_iteration(std::uint64_t it,
+                          std::vector<casc::loopir::Ref>& out) const override {
+    auto read = [&](std::uint64_t addr, std::uint32_t width) {
+      casc::loopir::Ref ref;
+      ref.mem = {addr, width, casc::sim::AccessType::kRead};
+      ref.read_only_operand = true;
+      out.push_back(ref);
+    };
+    auto write = [&](std::uint64_t addr) {
+      casc::loopir::Ref ref;
+      ref.mem = {addr, 8, casc::sim::AccessType::kWrite};
+      out.push_back(ref);
+    };
+    for (int j = 0; j < 3; ++j) read(kR, it == 0 && j == 0 ? 8 : 2);
+    read(kR + 64, 8);
+    if (it == 2) write(kR + 64);
+    if (it == 5) read(kOutside, 8);
+    write(kW + 8 * it);
+  }
+  [[nodiscard]] std::vector<casc::core::AddressRange> data_ranges()
+      const override {
+    return {{kR, 256}, {kW, 256}};
+  }
+};
+
+TEST(Shadow, CountsFirstWidthsAndKeepsReadsInStreamOrder) {
+  const TwoWidthWorkload workload;
+  const auto trace = casc::trace::Trace::capture(workload, "two_width");
+  const std::vector<casc::analysis::ArrayClaim> claims = {
+      {"r", TwoWidthWorkload::kR, 256, true},
+      {"w", TwoWidthWorkload::kW, 256, false}};
+  casc::analysis::ShadowOptions opt;
+  opt.chunk_bytes = 128;
+
+  const auto report = casc::analysis::shadow_check(trace, claims, opt);
+  EXPECT_EQ(report.chunk_iters, 8u);
+  EXPECT_EQ(report.refs_checked, 162u);
+  // Chunk 0 counts r+0 at its first width (8), not its later one (2):
+  // 8 + 8 (r+64) + 8 (outside) + 64 (w) bytes, against 74 in later chunks.
+  EXPECT_EQ(report.peak_chunk_bytes, 88u);
+  EXPECT_EQ(report.staged_bytes, 16u);  // r+0 at its widest read, and r+64
+  EXPECT_EQ(report.out_of_extent_refs, 1u);
+  EXPECT_EQ(report.violating_writes, 1u);
+  EXPECT_EQ(report.cross_chunk_hazards, 1u);
+  EXPECT_FALSE(report.restructure_safe);
+  ASSERT_EQ(report.diags.items().size(), 2u);
+  EXPECT_EQ(report.diags.items()[0].message,
+            "trace confirms the hazard: iteration 2 (chunk 0) writes 0x10040 "
+            "inside the staged footprint of 'r', and a staged read of those "
+            "bytes at iteration 31 (chunk 3) was copied before the writer "
+            "chunk executed; the staged value is stale");
+  EXPECT_EQ(report.diags.items()[1].rule, "shadow-footprint");
+
+  // Ring replay classifies the write against the FIRST staged read after it.
+  opt.ring_workers = 2;
+  const auto ring = casc::analysis::shadow_check(trace, claims, opt);
+  EXPECT_EQ(ring.peak_chunk_bytes, 88u);
+  EXPECT_EQ(ring.violating_writes, 1u);
+  EXPECT_EQ(ring.cross_chunk_hazards, 0u);
+  EXPECT_EQ(ring.ordered_pairs, 0u);
+  EXPECT_FALSE(ring.restructure_safe);
+  ASSERT_EQ(ring.diags.items().size(), 2u);
+  EXPECT_EQ(ring.diags.items()[0].message,
+            "trace records a write at iteration 2 to 0x10040 inside "
+            "claimed-read-only 'r'; a staged read at iteration 3 follows it in "
+            "the same chunk, and the staged copy (taken before the chunk "
+            "began) is stale at every worker count");
 }
 
 TEST(Analyze, UnsafeSpecFailsWithStaticAndShadowEvidence) {

@@ -2,12 +2,12 @@
 // invariants the cascade engine depends on.
 #include <gtest/gtest.h>
 
-#include "casc/cascade/chunking.hpp"
 #include "casc/common/check.hpp"
+#include "casc/core/chunk.hpp"
 
 namespace {
 
-using casc::cascade::ChunkPlan;
+using casc::core::ChunkPlan;
 using casc::common::CheckFailure;
 using casc::loopir::ArrayId;
 using casc::loopir::LayoutPolicy;

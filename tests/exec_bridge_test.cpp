@@ -226,6 +226,24 @@ TEST(ExecBridge, CertifiedDisjointGatherStagesDespiteFalseClaim) {
     EXPECT_EQ(got.digest, ref.digest) << "threads=" << threads;
     EXPECT_EQ(got.rw_checksum, ref.rw_checksum) << "threads=" << threads;
   }
+
+  // A fresh loop whose first call is a restructure run: the proof inside
+  // that run restages 't', which grows the staged stream, so the loop's
+  // staging region must be sized after the proof.
+  exec::MaterializedLoop fresh(load_spec("gather_split.casc"));
+  const std::uint64_t unproven_refs = fresh.staged_refs_total();
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 4;
+  rt::CascadeExecutor executor(cfg);
+  exec::RtOptions opt;
+  opt.helper = exec::HelperMode::kRestructure;
+  const exec::ExecResult got = exec::run_cascaded(fresh, executor, opt);
+  EXPECT_GT(fresh.staged_refs_total(), unproven_refs);
+  EXPECT_GT(got.gate_seconds, 0.0);
+  EXPECT_FALSE(got.preflight_refused) << got.preflight_diag;
+  EXPECT_GT(got.staged_chunks, 0u);
+  EXPECT_EQ(got.digest, ref.digest);
+  EXPECT_EQ(got.rw_checksum, ref.rw_checksum);
 }
 
 TEST(ExecBridge, ReductionSpecsRunCorrectlyButDoNotStage) {

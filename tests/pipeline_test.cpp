@@ -1,12 +1,13 @@
-// Pipelines end to end: PipelineSpec parsing (collecting rules), the
-// cross-loop survival/placement plan, and the three execution paths —
-// sequential reference, pipelined cascade (one executor, plan-placed arena,
-// staged-stream reuse), independent cascades — which must agree bit for bit
-// on every spec, every helper mode, every worker count, and every chunk
-// geometry.  Reuse is proof-gated: the committed index-clobber spec pins the
-// fallback-to-restaging path, and seeded chaos pins the health gate.  The
-// chain's state bookkeeping is pinned too: one checksum per run, over
-// exactly the arrays some stage writes, and a reset that restores them.
+// Pipelines end to end: PipelineSpec parsing (collecting rules), the staging
+// plan, and the three execution paths — sequential reference, pipelined
+// cascade (one executor, one staging arena), independent cascades (each
+// stage loop's own staging region) — which must agree bit for bit on every
+// spec, every helper mode, every worker count, every chunk geometry, and
+// every seeded chaos schedule.  Stage specs carry honest claims, so no stage
+// proof holds a certificate and the arena the plan sizes holds every
+// stage's stream.  The chain's state bookkeeping is pinned too: one
+// checksum per run, over exactly the arrays some stage writes, and a reset
+// that restores them.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -142,62 +143,42 @@ TEST(PipelineSpecParse, StageSpecsCarryHonestClaims) {
   }
 }
 
-// ---- the survival/placement plan -------------------------------------------
+// ---- the staging plan ------------------------------------------------------
 
 TEST(PipelinePlan, ProvesIdenticalGatherPairReusable) {
   const analysis::PipelinePlan plan =
       analysis::plan_pipeline(load_pipeline("pipeline_reuse.casc"));
-  ASSERT_EQ(plan.pairs.size(), 1u);
-  EXPECT_TRUE(plan.pairs[0].full_reuse);
-  EXPECT_EQ(plan.stages_reusing(), 1u);
-  // The reuse run shares one region: same offset, gathered by stage 0.
-  EXPECT_EQ(plan.stages[1].region_of, 0u);
-  EXPECT_EQ(plan.stages[0].region_offset, plan.stages[1].region_offset);
-  EXPECT_GT(plan.stages[0].staged_bytes, 0u);
+  ASSERT_EQ(plan.stages.size(), 2u);
+  EXPECT_EQ(plan.stages_reusing(), 0u);  // every stage gathers its own stream
   // Three staged slots per iteration: ij index-load, a gather, w affine.
   ASSERT_EQ(plan.stages[0].staged_signature.size(), 3u);
   EXPECT_TRUE(plan.stages[0].staged_signature[0].is_index_load);
   EXPECT_EQ(plan.stages[0].staged_signature[1].via, "ij");
-}
-
-TEST(PipelinePlan, RefusesReuseAcrossIndexClobber) {
-  const analysis::PipelinePlan plan =
-      analysis::plan_pipeline(load_pipeline("pipeline_index_clobber.casc"));
-  ASSERT_EQ(plan.pairs.size(), 2u);
-  EXPECT_FALSE(plan.pairs[0].full_reuse);
-  EXPECT_FALSE(plan.pairs[1].full_reuse);
-  EXPECT_EQ(plan.stages_reusing(), 0u);
-  // The staged ij stream dies because the successor writes it; the staged a
-  // stream dies because its routing index is rewritten.
-  bool ij_written = false, a_rerouted = false;
-  for (const analysis::ArraySurvival& s : plan.pairs[0].arrays) {
-    if (s.array == "ij") {
-      EXPECT_EQ(s.reason, "written-by-successor");
-      ij_written = true;
-    }
-    if (s.array == "a") {
-      EXPECT_EQ(s.reason, "index-array-written");
-      a_rerouted = true;
-    }
-  }
-  EXPECT_TRUE(ij_written);
-  EXPECT_TRUE(a_rerouted);
+  EXPECT_EQ(plan.stages[1].staged_signature.size(), 3u);
+  // The pair stages equally long streams, so the arena holds exactly one.
+  EXPECT_GT(plan.stages[0].staged_bytes, 0u);
+  EXPECT_EQ(plan.stages[0].staged_bytes, plan.stages[1].staged_bytes);
+  EXPECT_EQ(plan.arena_bytes, plan.stages[0].staged_bytes);
 }
 
 TEST(PipelinePlan, CoversVerdictRangeOnMixedChain) {
   const analysis::PipelinePlan plan =
       analysis::plan_pipeline(load_pipeline("pipeline_mixed.casc"));
-  ASSERT_EQ(plan.pairs.size(), 3u);
-  EXPECT_EQ(plan.pairs[0].reason, "nothing-staged");
-  EXPECT_TRUE(plan.pairs[1].full_reuse);
-  EXPECT_EQ(plan.pairs[2].reason, "trip-geometry-differs");
-  // Regions with disjoint live ranges share arena bytes: the arena is the
-  // largest region, not the sum.
-  std::uint64_t max_region = 0;
+  ASSERT_EQ(plan.stages.size(), 4u);
+  // The seed stage reads only what it writes, so it stages nothing; the two
+  // gathers stage the same slots; the tail stages half as many iterations.
+  EXPECT_TRUE(plan.stages[0].staged_signature.empty());
+  EXPECT_EQ(plan.stages[0].staged_bytes, 0u);
+  EXPECT_EQ(plan.stages[1].staged_signature.size(), 3u);
+  EXPECT_EQ(plan.stages[2].staged_signature.size(), 3u);
+  EXPECT_EQ(plan.stages[3].iterations, plan.stages[1].iterations / 2);
+  // Stages run one after another, so the arena is the largest stream, not
+  // the sum.
+  std::uint64_t largest = 0;
   for (const analysis::StagePlan& s : plan.stages) {
-    max_region = std::max(max_region, s.region_bytes);
+    largest = std::max(largest, s.staged_bytes);
   }
-  EXPECT_EQ(plan.arena_bytes, max_region);
+  EXPECT_EQ(plan.arena_bytes, largest);
 }
 
 TEST(PipelinePlan, RendersDeterministicJson) {
@@ -206,26 +187,51 @@ TEST(PipelinePlan, RendersDeterministicJson) {
   const std::string a = plan.render_json();
   const std::string b = plan.render_json();
   EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("\"stages_reusing\": 1"), std::string::npos);
-  EXPECT_NE(a.find("\"full_reuse\": true"), std::string::npos);
-  EXPECT_NE(a.find("trip-geometry-differs"), std::string::npos);
+  EXPECT_NE(a.find("\"arena_bytes\": " + std::to_string(plan.arena_bytes)),
+            std::string::npos);
+  EXPECT_NE(a.find("\"via\": \"cell\""), std::string::npos);
+  EXPECT_EQ(a.find("region_"), std::string::npos);
+  EXPECT_EQ(a.find("\"pairs\""), std::string::npos);
 }
 
-TEST(PipelinePlan, ParmvrCall12HasEngineeredReuseRuns) {
-  const loopir::PipelineSpec spec = wave5::make_parmvr_pipeline(/*scale=*/64);
-  ASSERT_EQ(spec.stages.size(), 15u);
-  const analysis::PipelinePlan plan = analysis::plan_pipeline(spec);
-  // Field-gather x/y/z, the sorted-gather pair, and the tail-gather pair.
-  const std::set<std::size_t> expected = {2, 3, 8, 12};
-  for (const analysis::PairPlan& p : plan.pairs) {
-    EXPECT_EQ(p.full_reuse, expected.count(p.from) > 0)
-        << "pair " << p.from << "->" << p.to << " (" << p.reason << ")";
+/// The three committed pipelines and the call-12 PARMVR chain.
+std::vector<loopir::PipelineSpec> committed_pipelines() {
+  std::vector<loopir::PipelineSpec> specs;
+  for (const std::string& file : kPipelineSpecs) specs.push_back(load_pipeline(file));
+  specs.push_back(wave5::make_parmvr_pipeline(/*scale=*/64));
+  return specs;
+}
+
+TEST(PipelinePlan, ArenaHoldsTheLargestMaterializedStream) {
+  // The plan's signatures mirror the materializer, so the arena it sizes is
+  // exactly the largest staged stream a stage loop resolves.
+  for (const loopir::PipelineSpec& spec : committed_pipelines()) {
+    const exec::MaterializedPipeline pipe(spec);
+    std::uint64_t largest = 0;
+    for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
+      largest = std::max(largest, pipe.stage(k).staged_refs_total() * 8);
+    }
+    EXPECT_EQ(pipe.plan().arena_bytes, largest) << spec.name;
   }
-  EXPECT_EQ(plan.stages_reusing(), 4u);
-  EXPECT_EQ(plan.stages[3].region_of, 2u);
-  EXPECT_EQ(plan.stages[4].region_of, 2u);
-  EXPECT_EQ(plan.stages[9].region_of, 8u);
-  EXPECT_EQ(plan.stages[13].region_of, 12u);
+}
+
+TEST(PipelinePlan, NoStageProofHoldsACertificate) {
+  // A stage spec marks exactly the arrays its stage writes as rw, so no claim
+  // is ever demoted: the certificate-aware gate the engine uses returns the
+  // strict verdict, and no proof restages a stage beyond the plan's arena.
+  for (const loopir::PipelineSpec& spec : committed_pipelines()) {
+    const exec::MaterializedPipeline pipe(spec);
+    for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
+      const exec::MaterializedLoop& stage = pipe.stage(k);
+      const std::uint64_t ipc = exec::plan_for(stage, 64 * 1024).iters_per_chunk();
+      EXPECT_TRUE(stage.demoted_claims().empty()) << spec.name << " stage " << k;
+      EXPECT_FALSE(stage.restructure_proof(ipc).certificate.has_value())
+          << spec.name << " stage " << k;
+      EXPECT_EQ(exec::gate_for(stage, 64 * 1024, 4, nullptr).is_proven(),
+                exec::gate_for(stage, 64 * 1024).is_proven())
+          << spec.name << " stage " << k;
+    }
+  }
 }
 
 // ---- chain state: one checksum, over the written arrays --------------------
@@ -286,8 +292,7 @@ void expect_arrays_identical(const exec::MaterializedPipeline& got,
 
 // ---- execution: three paths, one digest ------------------------------------
 
-void expect_three_way_identity(const loopir::PipelineSpec& spec,
-                               std::uint64_t expected_reused) {
+void expect_three_way_identity(const loopir::PipelineSpec& spec) {
   exec::MaterializedPipeline pipe(spec);
   // A chain checks its state once per run: the result carries the test's
   // own FNV-1a over the written arrays, and no stage computes a checksum.
@@ -328,69 +333,41 @@ void expect_three_way_identity(const loopir::PipelineSpec& spec,
         EXPECT_EQ(got.stages[k].result.digest, ref.stages[k].result.digest)
             << spec.name << " stage " << k;
       }
-      if (mode == exec::HelperMode::kRestructure && !got.degraded()) {
-        EXPECT_EQ(got.stages_reused, expected_reused)
-            << spec.name << " threads=" << threads;
-      } else {
-        EXPECT_EQ(got.stages_reused, 0u) << spec.name;
-      }
 
       const exec::PipelineResult ind =
           exec::run_pipeline_independent(pipe, threads, opt);
       expect_state_checked_once(ind, "independent " + where);
       EXPECT_EQ(ind.chain_digest, ref.chain_digest) << spec.name;
       EXPECT_EQ(ind.rw_checksum, ref.rw_checksum) << spec.name;
-      EXPECT_EQ(ind.stages_reused, 0u);
     }
   }
 }
 
 TEST(PipelineExec, ReusePairAgreesAcrossAllPaths) {
-  expect_three_way_identity(load_pipeline("pipeline_reuse.casc"),
-                            /*expected_reused=*/1);
+  expect_three_way_identity(load_pipeline("pipeline_reuse.casc"));
 }
 
 TEST(PipelineExec, IndexClobberFallsBackAndStaysIdentical) {
-  expect_three_way_identity(load_pipeline("pipeline_index_clobber.casc"),
-                            /*expected_reused=*/0);
+  // The middle stage rewrites the index array the outer gathers route
+  // through, so the last stage must gather through the rewritten indices.
+  expect_three_way_identity(load_pipeline("pipeline_index_clobber.casc"));
 }
 
 TEST(PipelineExec, MixedChainAgreesAcrossAllPaths) {
-  expect_three_way_identity(load_pipeline("pipeline_mixed.casc"),
-                            /*expected_reused=*/1);
+  expect_three_way_identity(load_pipeline("pipeline_mixed.casc"));
 }
 
 TEST(PipelineExec, ParmvrCall12AgreesAcrossAllPaths) {
-  expect_three_way_identity(wave5::make_parmvr_pipeline(/*scale=*/64),
-                            /*expected_reused=*/4);
+  expect_three_way_identity(wave5::make_parmvr_pipeline(/*scale=*/64));
 }
 
 TEST(PipelineExec, ParmvrFullScaleAgreesAcrossAllPaths) {
   // The benchmarked chain: 15 stages over 14 MiB, 9 MiB of it written.
-  expect_three_way_identity(wave5::make_parmvr_pipeline(/*scale=*/1),
-                            /*expected_reused=*/4);
-}
-
-TEST(PipelineExec, ReuseFlagsNameTheReplayingStages) {
-  exec::MaterializedPipeline pipe(load_pipeline("pipeline_reuse.casc"));
-  rt::ExecutorConfig cfg;
-  cfg.num_threads = 2;
-  rt::CascadeExecutor executor(cfg);
-  const exec::PipelineResult got = exec::run_pipeline_cascaded(pipe, executor);
-  ASSERT_EQ(got.stages.size(), 2u);
-  if (!got.degraded()) {
-    EXPECT_FALSE(got.stages[0].reused_staging);
-    EXPECT_TRUE(got.stages[1].reused_staging);
-    // The replaying stage ran no gather of its own but executed against the
-    // committed chunks of its predecessor.
-    EXPECT_EQ(got.stages[1].result.staged_chunks,
-              got.stages[0].result.staged_chunks);
-  }
+  expect_three_way_identity(wave5::make_parmvr_pipeline(/*scale=*/1));
 }
 
 TEST(PipelineExec, ChunkPlanPermutationsLeaveResultsStable) {
   // Digest and checksum are chunk-geometry-independent: any iters_per_chunk
-  // (including ones that break the reuse stages' alignment with the gather)
   // yields the bit-identical chain result.
   const loopir::PipelineSpec spec = load_pipeline("pipeline_mixed.casc");
   exec::MaterializedPipeline pipe(spec);
@@ -408,18 +385,6 @@ TEST(PipelineExec, ChunkPlanPermutationsLeaveResultsStable) {
   }
 }
 
-TEST(PipelineExec, SharedArenaAliasesOnlyWithinReuseRuns) {
-  exec::MaterializedPipeline pipe(load_pipeline("pipeline_reuse.casc"));
-  ASSERT_EQ(pipe.num_stages(), 2u);
-  EXPECT_TRUE(pipe.reuses_previous(1));
-  EXPECT_EQ(pipe.region(0), pipe.region(1));  // the reuse IS the aliasing
-
-  exec::MaterializedPipeline clobber(
-      load_pipeline("pipeline_index_clobber.casc"));
-  EXPECT_FALSE(clobber.reuses_previous(1));
-  EXPECT_FALSE(clobber.reuses_previous(2));
-}
-
 TEST(PipelineExec, RepeatedRunsAreDeterministic) {
   exec::MaterializedPipeline pipe(load_pipeline("pipeline_reuse.casc"));
   rt::ExecutorConfig cfg;
@@ -432,9 +397,9 @@ TEST(PipelineExec, RepeatedRunsAreDeterministic) {
 }
 
 TEST(PipelineExec, SecondRunServesEveryStageProofFromTheMemo) {
-  // Each gathering stage proves its chunk geometry on the first run; the
-  // proof lives on the stage's MaterializedLoop, so the second run proves
-  // nothing and behaves identically.
+  // Every stage proves its chunk geometry on the first run; the proof lives
+  // on the stage's MaterializedLoop, so the second run proves nothing and
+  // behaves identically.
   exec::MaterializedPipeline pipe(wave5::make_parmvr_pipeline(/*scale=*/64));
   const exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
   rt::ExecutorConfig cfg;
@@ -442,16 +407,11 @@ TEST(PipelineExec, SecondRunServesEveryStageProofFromTheMemo) {
   rt::CascadeExecutor executor(cfg);
   const exec::PipelineResult first = exec::run_pipeline_cascaded(pipe, executor);
   const exec::PipelineResult second = exec::run_pipeline_cascaded(pipe, executor);
-  double first_gate = 0.0;
   for (const exec::PipelineStageResult& s : first.stages) {
-    first_gate += s.result.gate_seconds;
+    EXPECT_GT(s.result.gate_seconds, 0.0) << s.name;
   }
-  EXPECT_GT(first_gate, 0.0);
   for (const exec::PipelineStageResult& s : second.stages) {
     EXPECT_EQ(s.result.gate_seconds, 0.0) << s.name;
-  }
-  if (!first.degraded() && !second.degraded()) {
-    EXPECT_EQ(second.stages_reused, first.stages_reused);
   }
   EXPECT_EQ(first.chain_digest, ref.chain_digest);
   EXPECT_EQ(second.chain_digest, ref.chain_digest);
@@ -462,16 +422,11 @@ TEST(PipelineExec, SecondRunServesEveryStageProofFromTheMemo) {
 
 TEST(PipelineState, ChaosFallsBackAndLeavesTheStateExact) {
   // Seeded helper faults on the pipelined restructure path: the chain must
-  // still produce the reference bits, a degraded gather must force its
-  // successors to re-stage instead of replaying, the arrays no stage writes
-  // must come out of the runs untouched, and reset() must restore the rest.
+  // still produce the reference bits, the arrays no stage writes must come
+  // out of the runs untouched, and reset() must restore the rest.
   constexpr std::uint64_t kIpc = 128;
-  std::vector<loopir::PipelineSpec> specs;
-  for (const std::string& file : kPipelineSpecs) specs.push_back(load_pipeline(file));
-  specs.push_back(wave5::make_parmvr_pipeline(/*scale=*/64));
-  std::uint64_t degraded_gathers = 0;
-  std::uint64_t refused_replays = 0;
-  for (const loopir::PipelineSpec& spec : specs) {
+  std::uint64_t degraded_stages = 0;
+  for (const loopir::PipelineSpec& spec : committed_pipelines()) {
     const exec::MaterializedPipeline fresh(spec);
     exec::MaterializedPipeline pipe(spec);
     const exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
@@ -500,19 +455,8 @@ TEST(PipelineState, ChaosFallsBackAndLeavesTheStateExact) {
             exec::run_pipeline_cascaded(pipe, executor, opt);
         EXPECT_EQ(got.chain_digest, ref.chain_digest) << where;
         EXPECT_EQ(got.rw_checksum, ref.rw_checksum) << where;
-
-        // A replaying stage executes against the stream its most recent
-        // gathering (non-replaying) predecessor committed.
-        bool gather_degraded = false;
-        for (std::size_t k = 0; k < got.stages.size(); ++k) {
-          const exec::PipelineStageResult& stage = got.stages[k];
-          if (stage.reused_staging) {
-            EXPECT_FALSE(gather_degraded) << where << " stage " << stage.name;
-            continue;
-          }
-          if (pipe.reuses_previous(k) && gather_degraded) ++refused_replays;
-          gather_degraded = stage.result.degraded;
-          if (gather_degraded) ++degraded_gathers;
+        for (const exec::PipelineStageResult& stage : got.stages) {
+          if (stage.result.degraded) ++degraded_stages;
         }
 
         expect_arrays_identical(pipe, fresh, /*written=*/false, where);
@@ -521,9 +465,8 @@ TEST(PipelineState, ChaosFallsBackAndLeavesTheStateExact) {
       }
     }
   }
-  // The schedules did degrade gathers and did turn replays into re-staging.
-  EXPECT_GT(degraded_gathers, 0u);
-  EXPECT_GT(refused_replays, 0u);
+  // The schedules did degrade stages.
+  EXPECT_GT(degraded_stages, 0u);
 }
 
 }  // namespace

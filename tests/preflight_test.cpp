@@ -7,10 +7,10 @@
 #include <cstdlib>
 #include <vector>
 
+#include "casc/analysis/refstream.hpp"
 #include "casc/cascade/engine.hpp"
 #include "casc/cascade/helper_selector.hpp"
-#include "casc/cascade/preflight.hpp"
-#include "casc/cascade/workload.hpp"
+#include "casc/core/workload.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -20,11 +20,11 @@ using casc::cascade::CascadeResult;
 using casc::cascade::CascadeSimulator;
 using casc::cascade::HelperChoice;
 using casc::cascade::HelperKind;
-using casc::cascade::LoopWorkload;
-using casc::cascade::PreflightOptions;
-using casc::cascade::PreflightReport;
-using casc::cascade::preflight_verify;
+using casc::analysis::RefStreamOptions;
+using casc::analysis::RefStreamReport;
+using casc::analysis::verify_ref_stream;
 using casc::cascade::select_helper;
+using casc::core::LoopWorkload;
 using casc::loopir::LayoutPolicy;
 using casc::test::make_stream_loop;
 using casc::test::mini_machine;
@@ -35,7 +35,7 @@ using casc::test::mini_machine;
 /// y(i) = f(y(i-1)).  A LoopNest cannot express this (it rejects writes to
 /// read-only arrays), which is exactly why the engine must not trust
 /// classification claims blindly.
-class LyingWorkload final : public casc::cascade::Workload {
+class LyingWorkload final : public casc::core::Workload {
  public:
   explicit LyingWorkload(std::uint64_t n) : n_(n) {}
 
@@ -59,7 +59,7 @@ class LyingWorkload final : public casc::cascade::Workload {
     write.mem = {kBase + 8 * it, 8, casc::sim::AccessType::kWrite};
     out.push_back(write);
   }
-  [[nodiscard]] std::vector<casc::cascade::AddressRange> data_ranges()
+  [[nodiscard]] std::vector<casc::core::AddressRange> data_ranges()
       const override {
     return {{kBase, 8 * n_}};
   }
@@ -98,7 +98,7 @@ class ScopedNoVerify {
 TEST(Preflight, HonestWorkloadIsProvenSafe) {
   const auto nest = make_stream_loop(2048, 3, LayoutPolicy::kStaggered);
   const LoopWorkload workload(nest);
-  const PreflightReport report = preflight_verify(workload);
+  const RefStreamReport report = verify_ref_stream(workload);
   EXPECT_TRUE(report.restructure_safe);
   EXPECT_TRUE(report.diags.ok());
   EXPECT_GT(report.claimed_ro_bytes, 0u);
@@ -108,9 +108,9 @@ TEST(Preflight, HonestWorkloadIsProvenSafe) {
 
 TEST(Preflight, LyingClaimIsRefutedWithCrossChunkEvidence) {
   const LyingWorkload workload(4096);
-  PreflightOptions opt;
+  RefStreamOptions opt;
   opt.chunk_bytes = 1024;  // 64 iterations per chunk: many boundaries
-  const PreflightReport report = preflight_verify(workload, opt);
+  const RefStreamReport report = verify_ref_stream(workload, opt);
   EXPECT_FALSE(report.restructure_safe);
   EXPECT_GT(report.violating_writes, 0u);
   EXPECT_GT(report.cross_chunk_hazards, 0u);
@@ -124,9 +124,9 @@ TEST(Preflight, LyingClaimIsRefutedWithCrossChunkEvidence) {
 
 TEST(Preflight, TruncatedVerdictIsMarked) {
   const LyingWorkload workload(4096);
-  PreflightOptions opt;
+  RefStreamOptions opt;
   opt.max_iterations = 16;
-  const PreflightReport report = preflight_verify(workload, opt);
+  const RefStreamReport report = verify_ref_stream(workload, opt);
   EXPECT_TRUE(report.truncated);
   EXPECT_EQ(report.iterations_checked, 16u);
   bool saw_warning = false;

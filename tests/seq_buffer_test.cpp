@@ -6,7 +6,7 @@
 #include <cstring>
 #include <vector>
 
-#include "casc/cascade/seq_buffer.hpp"
+#include "casc/cascade/buffer_model.hpp"
 #include "casc/common/check.hpp"
 #include "casc/rt/seq_buffer.hpp"
 

@@ -81,7 +81,7 @@ bool report_failed(const casc::analysis::AnalysisReport& report,
 
 /// One linted pipeline file: the collecting parse, the per-stage analysis
 /// reports (each stage lowered to its honest-claim LoopSpec), and the
-/// cross-loop survival/placement plan.
+/// staging plan.
 struct PipelineLint {
   casc::loopir::PipelineSpec spec;
   casc::common::DiagnosticList parse_diags;
@@ -215,8 +215,8 @@ int main(int argc, char** argv) {
     std::ostringstream text;
     text << in.rdbuf();
     // Pipeline chains: lint every stage (each lowered to its honest-claim
-    // LoopSpec) and print the cross-loop survival/placement plan — the
-    // golden-tested artifact of casc::analysis::plan_pipeline.
+    // LoopSpec) and print the staging plan — the golden-tested artifact of
+    // casc::analysis::plan_pipeline.
     if (casc::loopir::is_pipeline_text(text.str())) {
       PipelineLint lint;
       try {

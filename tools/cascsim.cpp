@@ -307,8 +307,8 @@ int run_sim_pipeline(const loopir::PipelineSpec& spec, const cli::Args& args,
 }
 
 /// --backend=rt with a pipeline chain: predicted per stage on one persistent
-/// simulated machine, measured per stage on the real runtime via the
-/// plan-placed arena path, and the whole chain cross-validated bit for bit
+/// simulated machine, measured per stage on the real runtime through the
+/// chain's staging arena, and the whole chain cross-validated bit for bit
 /// against both the sequential reference and the independent-cascades
 /// baseline.  Returns false on any digest divergence.
 bool run_rt_pipeline(const std::string& text, const sim::MachineConfig& cfg,
@@ -353,7 +353,7 @@ bool run_rt_pipeline(const std::string& text, const sim::MachineConfig& cfg,
                      indep.rw_checksum == ref.rw_checksum;
 
   report::Table table({"Stage", "Iters", "Predicted speedup", "Measured speedup",
-                       "Staged", "Staging", "Digest"});
+                       "Staged", "Digest"});
   table.set_title("pipeline " + spec.name + ": predicted (sim: " + cfg.name +
                   ") vs measured (rt: " + std::to_string(executor.num_threads()) +
                   " threads, " + cascade::to_string(sim_opt.helper) + ", " +
@@ -369,7 +369,6 @@ bool run_rt_pipeline(const std::string& text, const sim::MachineConfig& cfg,
                                 ? ref.stages[k].result.seconds / st.result.seconds
                                 : 0.0),
          report::fmt_count(st.result.staged_chunks),
-         st.reused_staging ? "replay" : "gather",
          stage_match ? "match" : "MISMATCH"});
     if (st.result.preflight_refused) {
       std::cout << "note: " << st.name
@@ -382,8 +381,7 @@ bool run_rt_pipeline(const std::string& text, const sim::MachineConfig& cfg,
                                     static_cast<double>(pred_chain_total)),
                  report::fmt_double(chain.seconds > 0.0 ? ref.seconds / chain.seconds
                                                         : 0.0),
-                 report::fmt_count(chain.stages_reused), "reused stages",
-                 match ? "match" : "MISMATCH"});
+                 "", match ? "match" : "MISMATCH"});
   table.print(std::cout);
   std::cout << "pipeline vs independent cascades: "
             << report::fmt_double(chain.seconds > 0.0 ? indep.seconds / chain.seconds
@@ -400,8 +398,6 @@ bool run_rt_pipeline(const std::string& text, const sim::MachineConfig& cfg,
                       chain.seconds > 0.0 ? ref.seconds / chain.seconds : 0.0);
   reporter.add_metric(spec.name + ".pipeline_vs_independent",
                       chain.seconds > 0.0 ? indep.seconds / chain.seconds : 0.0);
-  reporter.add_metric(spec.name + ".stages_reused",
-                      static_cast<double>(chain.stages_reused));
   reporter.add_metric(spec.name + ".digest_match", match ? 1.0 : 0.0);
   reporter.add_wall_ns(static_cast<std::int64_t>(chain.seconds * 1e9));
   return match;
@@ -479,8 +475,8 @@ int run_backend_rt(const cli::Args& args) {
   for (const std::string& path : paths) {
     const std::string text = read_spec_text(path);
     // Pipeline chains print their own predicted-vs-measured table.  Chaos
-    // stays off for chains: reuse is already health-gated, and the seeded
-    // fault schedules are derived per single-loop chunk geometry.
+    // stays off for chains: the seeded fault schedules are derived per
+    // single-loop chunk geometry.
     if (loopir::is_pipeline_text(text)) {
       all_match =
           run_rt_pipeline(text, cfg, sim_opt, rt_opt, executor, reporter) &&

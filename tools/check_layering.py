@@ -10,9 +10,9 @@ The refactored dependency order is strictly one-directional:
 The two backends share ONLY the core/analysis layers: src/cascade/ must not
 include casc/rt/ headers and src/runtime/ must not include casc/cascade/
 headers — the bridge between them is casc::exec.  Pipeline chains follow the
-same order: loopir owns PipelineSpec, analysis owns the survival/placement
-plan (plan_pipeline), exec owns MaterializedPipeline and the arena runner,
-and svc/tools sit on top.  This script parses every
+same order: loopir owns PipelineSpec, analysis owns the staging plan
+(plan_pipeline), exec owns MaterializedPipeline and the staging engine, and
+svc/tools sit on top.  This script parses every
 #include "casc/..." in src/ and fails (exit 1) on any edge that violates the
 per-layer forbidden lists below.
 
