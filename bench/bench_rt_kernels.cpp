@@ -1,10 +1,9 @@
-// Gather/pack kernel microbenchmarks (google-benchmark): the runtime-
-// dispatched SIMD kernels (casc/common/simd.hpp) against their forced-scalar
-// reference, over the staging helper's actual shapes — scattered 8-byte
-// gathers by byte offset, indexed double gathers, and the dense pack/stream
-// copy.  Each SIMD variant runs at whatever tier the host dispatches
-// (scalar on a non-AVX2 box — the names stay stable so bench_diff can gate
-// on them; the simd_tier counter records what actually ran).
+// Gather kernel microbenchmark (google-benchmark): the runtime-dispatched
+// SIMD gather by byte offset (casc/common/simd.hpp) against its
+// forced-scalar reference, over scattered 8-byte words.  The SIMD variant
+// runs at whatever tier the host dispatches (scalar on a non-AVX2 box — the
+// names stay stable so bench_diff can gate on them; the simd_tier counter
+// records what actually ran).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -22,23 +21,20 @@ namespace simd = casc::common::simd;
 constexpr std::size_t kRegionBytes = 8u << 20;  // far beyond L2: memory-bound
 constexpr std::size_t kBatch = 1 << 16;         // gathers per iteration
 
-/// Shared inputs: a pseudo-random region, scattered byte offsets and element
-/// indices (the same multiplicative-hash scatter the rt benches use), and
-/// cache-line-aligned destinations (what SequentialBuffer hands the kernels).
+/// Shared inputs: a pseudo-random region, scattered byte offsets (the same
+/// multiplicative-hash scatter the rt benches use), and a cache-line-aligned
+/// destination.
 struct Inputs {
   casc::common::AlignedStorage region{kRegionBytes};
   std::vector<std::uint64_t> offsets;
-  std::vector<std::uint32_t> idx;
   casc::common::AlignedStorage out{kBatch * 8};
 
-  Inputs() : offsets(kBatch), idx(kBatch) {
+  Inputs() : offsets(kBatch) {
     auto* words = reinterpret_cast<std::uint64_t*>(region.data());
     const std::size_t n = kRegionBytes / 8;
     for (std::size_t i = 0; i < n; ++i) words[i] = i * 0x9e3779b97f4a7c15ull;
     for (std::size_t k = 0; k < kBatch; ++k) {
-      const std::size_t elem = (k * 2654435761u) % n;
-      offsets[k] = elem * 8;
-      idx[k] = static_cast<std::uint32_t>(elem);
+      offsets[k] = (k * 2654435761u) % n * 8;
     }
   }
 };
@@ -48,11 +44,11 @@ Inputs& inputs() {
   return in;
 }
 
-void record(benchmark::State& state, double bytes_per_item) {
+void record(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBatch));
-  state.SetBytesProcessed(static_cast<std::int64_t>(
-      static_cast<double>(state.iterations()) * kBatch * bytes_per_item));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch * 8));
   state.counters["simd_tier"] =
       static_cast<double>(static_cast<int>(simd::active_tier()));
 }
@@ -66,41 +62,11 @@ void BM_GatherOffsetsU64(benchmark::State& state) {
     simd::gather_offsets_u64(in.region.data(), in.offsets.data(), kBatch, out);
     benchmark::ClobberMemory();
   }
-  record(state, 8.0);
+  record(state);
   simd::clear_forced_tier();
 }
 BENCHMARK(BM_GatherOffsetsU64<true>)->Name("BM_GatherOffsetsU64Scalar");
 BENCHMARK(BM_GatherOffsetsU64<false>)->Name("BM_GatherOffsetsU64Simd");
-
-template <bool kForceScalar>
-void BM_GatherIndexF64(benchmark::State& state) {
-  Inputs& in = inputs();
-  if (kForceScalar) simd::force_tier(simd::Tier::kScalar);
-  const auto* base = reinterpret_cast<const double*>(in.region.data());
-  auto* out = reinterpret_cast<double*>(in.out.data());
-  for (auto _ : state) {
-    simd::gather_index_f64(base, in.idx.data(), kBatch, out);
-    benchmark::ClobberMemory();
-  }
-  record(state, 8.0);
-  simd::clear_forced_tier();
-}
-BENCHMARK(BM_GatherIndexF64<true>)->Name("BM_GatherIndexF64Scalar");
-BENCHMARK(BM_GatherIndexF64<false>)->Name("BM_GatherIndexF64Simd");
-
-template <bool kForceScalar>
-void BM_StreamCopy(benchmark::State& state) {
-  Inputs& in = inputs();
-  if (kForceScalar) simd::force_tier(simd::Tier::kScalar);
-  for (auto _ : state) {
-    simd::stream_copy(in.out.data(), in.region.data(), kBatch * 8);
-    benchmark::ClobberMemory();
-  }
-  record(state, 16.0);  // 8 read + 8 written per item
-  simd::clear_forced_tier();
-}
-BENCHMARK(BM_StreamCopy<true>)->Name("BM_StreamCopyScalar");
-BENCHMARK(BM_StreamCopy<false>)->Name("BM_StreamCopySimd");
 
 }  // namespace
 

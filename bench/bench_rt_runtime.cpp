@@ -1,25 +1,23 @@
-// Real-runtime end-to-end benchmarks (google-benchmark): a memory-bound loop
-// run sequentially vs cascaded with prefetch and restructure helpers on real
-// threads.  On a multi-core host the cascaded variants approach the paper's
-// behaviour; on a single-core host they document the overhead floor (the
-// README explains why — helpers then time-share the one core).
+// Real-runtime end-to-end benchmarks (google-benchmark): a memory-bound
+// scattered-gather loop run sequentially vs cascaded on real threads, with a
+// prefetch helper and with no helper.  On a multi-core host the prefetch
+// variant approaches the paper's behaviour; on a single-core host it
+// documents the overhead floor (the README explains why — helpers then
+// time-share the one core).  The restructure helper is measured through the
+// exec bridge's staging engine instead, by bench_rt_pipeline and perfbench.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "bench_gbench_json.hpp"
 #include "casc/rt/executor.hpp"
 #include "casc/rt/helpers.hpp"
-#include "casc/rt/restructured.hpp"
 
 namespace {
 
 using casc::rt::CascadeExecutor;
 using casc::rt::ExecutorConfig;
-using casc::rt::RestructuredLoop;
-using casc::rt::RestructuredOptions;
 using casc::rt::TokenWatch;
 
 constexpr std::uint64_t kN = 1 << 20;           // 8 MB of doubles per array
@@ -93,96 +91,6 @@ void BM_CascadedGatherNoHelper(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
 }
 BENCHMARK(BM_CascadedGatherNoHelper)->Arg(2)->Arg(4);
-
-// The staged path: RestructuredLoop's cursor-based stage/drain (one hard
-// bounds check per chunk, commit-to-publish, prefetched drain), parking per
-// ExecutorConfig's kAuto default.
-void BM_CascadedGatherRestructure(benchmark::State& state) {
-  Workload& w = workload();
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  CascadeExecutor ex(ExecutorConfig{threads, false});
-  RestructuredLoop<double> loop(ex, kChunkIters);
-  for (auto _ : state) {
-    loop.run(
-        kN, [&](std::uint64_t i) { return w.a[w.ij[i]]; },
-        [&](std::uint64_t i, double v) { w.x[i] = v + 1.0; });
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
-  state.counters["staged_fraction"] = loop.last_run_stats().staged_fraction();
-}
-BENCHMARK(BM_CascadedGatherRestructure)->Arg(2)->Arg(4);
-
-// The SIMD staged path: the same loop with the gather declared as
-// IndexedGather (block staging through the runtime-dispatched gather
-// kernels) and the drain as a span consumer (one call per chunk over the
-// contiguous staged values).  Against BM_CascadedGatherRestructure this
-// isolates what the explicit SIMD kernels buy over the scalar
-// gather-one-push-one staging loop.
-void BM_CascadedGatherRestructureSimd(benchmark::State& state) {
-  Workload& w = workload();
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  CascadeExecutor ex(ExecutorConfig{threads, false});
-  RestructuredLoop<double> loop(ex, kChunkIters);
-  const auto gather = casc::rt::indexed_gather(w.a.data(), kN, w.ij.data());
-  for (auto _ : state) {
-    loop.run(kN, gather,
-             [&](std::uint64_t b, std::uint64_t e, const double* vals) {
-               for (std::uint64_t i = b; i < e; ++i) w.x[i] = vals[i - b] + 1.0;
-             });
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
-  state.counters["staged_fraction"] = loop.last_run_stats().staged_fraction();
-  state.counters["simd_tier"] = static_cast<double>(
-      static_cast<int>(casc::common::simd::active_tier()));
-}
-BENCHMARK(BM_CascadedGatherRestructureSimd)->Arg(2)->Arg(4);
-
-// Look-ahead ablation at a fixed 4 threads: L buffers per worker let an idle
-// helper stage its next L chunks instead of waiting out the token.
-void BM_CascadedGatherLookahead(benchmark::State& state) {
-  Workload& w = workload();
-  CascadeExecutor ex(ExecutorConfig{4, false});
-  RestructuredOptions options;
-  options.iters_per_chunk = kChunkIters;
-  options.lookahead = static_cast<unsigned>(state.range(0));
-  RestructuredLoop<double> loop(ex, options);
-  for (auto _ : state) {
-    loop.run(
-        kN, [&](std::uint64_t i) { return w.a[w.ij[i]]; },
-        [&](std::uint64_t i, double v) { w.x[i] = v + 1.0; });
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
-  state.counters["staged_ahead"] =
-      static_cast<double>(loop.last_run_stats().chunks_staged_ahead);
-}
-BENCHMARK(BM_CascadedGatherLookahead)->Arg(1)->Arg(2)->Arg(4);
-
-// Adaptive chunk size: the chunker hill-climbs across benchmark iterations
-// (the repeated-call pattern run_auto/auto_chunk exist for).
-void BM_CascadedGatherAutoChunk(benchmark::State& state) {
-  Workload& w = workload();
-  const unsigned threads = static_cast<unsigned>(state.range(0));
-  CascadeExecutor ex(ExecutorConfig{threads, false});
-  RestructuredOptions options;
-  options.iters_per_chunk = kChunkIters;
-  options.auto_chunk = true;
-  options.min_chunk_iters = 1024;
-  options.max_chunk_iters = 64 * 1024;
-  RestructuredLoop<double> loop(ex, options);
-  for (auto _ : state) {
-    loop.run(
-        kN, [&](std::uint64_t i) { return w.a[w.ij[i]]; },
-        [&](std::uint64_t i, double v) { w.x[i] = v + 1.0; });
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kN);
-  state.counters["final_iters_per_chunk"] =
-      static_cast<double>(loop.current_iters_per_chunk());
-}
-BENCHMARK(BM_CascadedGatherAutoChunk)->Arg(2)->Arg(4);
 
 }  // namespace
 

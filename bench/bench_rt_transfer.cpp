@@ -1,7 +1,7 @@
 // Real-runtime microbenchmarks (google-benchmark): the cost of a control
 // transfer on this host — the quantity the paper measured at ~120 cycles on
 // the Pentium Pro and ~500 cycles on the R10000 (§3.3 footnote 2) — plus
-// token primitives and sequential-buffer throughput.
+// token primitives and the prefetch helper's sweep speed.
 //
 // NOTE: on a single-core host the hand-off between *threads* includes an OS
 // reschedule, so the measured figure is an upper bound; the single-threaded
@@ -16,14 +16,12 @@
 #include "bench_gbench_json.hpp"
 #include "casc/rt/executor.hpp"
 #include "casc/rt/helpers.hpp"
-#include "casc/rt/seq_buffer.hpp"
 #include "casc/rt/token.hpp"
 
 namespace {
 
 using casc::rt::CascadeExecutor;
 using casc::rt::ExecutorConfig;
-using casc::rt::SequentialBuffer;
 using casc::rt::Token;
 
 // The raw shared-memory flag update + observation, single-threaded: the
@@ -59,25 +57,6 @@ void BM_CrossThreadTransfer(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CrossThreadTransfer)->Arg(1)->Arg(2)->Arg(4);
-
-// Sequential-buffer stage/drain throughput (the restructuring helper's inner
-// loop on real hardware).
-void BM_SequentialBufferRoundTrip(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  SequentialBuffer buf(n * sizeof(double));
-  std::vector<double> src(n, 1.5);
-  double sink = 0;
-  for (auto _ : state) {
-    buf.reset();
-    for (std::size_t i = 0; i < n; ++i) buf.push(src[i]);
-    for (std::size_t i = 0; i < n; ++i) sink += buf.pop<double>();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n) * 2 *
-                          static_cast<std::int64_t>(sizeof(double)));
-}
-BENCHMARK(BM_SequentialBufferRoundTrip)->Arg(1024)->Arg(8192)->Arg(65536);
 
 // Spin-vs-futex wait-tier ablation: the same empty-chunk cascade at 1x/2x/4x
 // oversubscription (threads = factor * cores), with the wait mode forced.

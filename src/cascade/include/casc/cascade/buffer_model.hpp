@@ -6,10 +6,10 @@
 // to stay resident in that processor's caches.
 //
 // This is pure modeling state for the cache simulator: an address range with
-// a cursor and byte-accounting, no payload.  The REAL buffer — the byte
-// arena the threaded runtime stages actual operand values through — is
-// casc::rt::SequentialBuffer (casc/rt/seq_buffer.hpp), the single payload
-// implementation in the tree.
+// a cursor and byte-accounting, no payload.  On real threads the exec
+// bridge's one staging engine holds the payload instead: a flat staging
+// region per loop (or one arena per chain) where staged reference p lives
+// at word p, so it is not reused per processor as modeled here.
 #pragma once
 
 #include <cstdint>

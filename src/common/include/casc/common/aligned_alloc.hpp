@@ -1,8 +1,8 @@
 // Unified aligned allocation for every staged byte in the system.
 //
-// The cascade's hot loops are gather/pack/stream kernels over staging
-// buffers and materialized backing arrays; SIMD kernels and the TLB both
-// care where those bytes land.  This header is the single policy point:
+// The cascade's hot loops gather into staging regions and stream over
+// materialized backing arrays; cache lines and the TLB both care where
+// those bytes land.  This header is the single policy point:
 //
 //   * allocations below kHugePageThreshold are cache-line aligned (64 B) so
 //     vector loads never straddle a line for size-aligned element types;
@@ -13,7 +13,7 @@
 // Two adapters over the same policy:
 //
 //   * AlignedStorage — RAII byte arena for code that manages its own layout
-//     (rt::SequentialBuffer);
+//     (the exec bridge's staging regions);
 //   * AlignedAllocator<T> — std::allocator drop-in so containers
 //     (exec::MaterializedLoop's backing arrays) land on the same tiers
 //     without changing their call sites beyond the template argument.

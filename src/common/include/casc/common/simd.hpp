@@ -1,23 +1,22 @@
-// Runtime-dispatched SIMD gather/pack kernels for the cascade's staging hot
-// paths.
+// Runtime-dispatched SIMD gather kernel: one 8-byte gather by byte offset.
 //
-// The restructuring helper is a gather loop (resolve scattered operand
-// values, pack them densely into a SequentialBuffer) and the execution
-// phase a stream loop over the packed values.  Both are exactly the loops
-// vector ISAs have gather/stream instructions for, so this header exposes
-// them as kernels with three implementations each:
+// No run path dispatches it.  The exec bridge's restructuring helper makes
+// one plain load per staged value, because its staged stream interleaves
+// arrays and a same-array run is often one value long.  The kernel stays for
+// what measures it: perfbench's simd.gather_gbps probe, bench_rt_kernels and
+// simd_kernel_test.  It has three implementations:
 //
 //   * scalar   — portable reference; ALSO the semantic ground truth: every
-//                vector tier must produce bit-identical output (the kernels
-//                move bytes, they never compute on values, so identity is
+//                vector tier must produce bit-identical output (the kernel
+//                moves bytes, it never computes on values, so identity is
 //                exact, not approximate);
-//   * AVX2     — 4-lane 64-bit gathers (VPGATHERQQ / VGATHERDPD);
-//   * AVX-512  — 8-lane 64-bit gathers (VPGATHERQQ / VGATHERDPD zmm).
+//   * AVX2     — 4-lane 64-bit gathers (VPGATHERQQ);
+//   * AVX-512  — 8-lane 64-bit gathers (VPGATHERQQ zmm).
 //
 // The tier is selected ONCE from cpuid (GCC/Clang __builtin_cpu_supports)
 // and can be forced down:
 //   * CASC_NO_SIMD=1 in the environment pins the scalar tier for the whole
-//     process (the CI fallback gate and the property tests' control arm);
+//     process;
 //   * force_tier() clamps the active tier at runtime (tests exercise every
 //     tier the host supports in one process).
 //
@@ -43,7 +42,7 @@ enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// True when CASC_NO_SIMD is set (non-empty, not "0") in the environment.
 [[nodiscard]] bool no_simd_env() noexcept;
 
-/// Tier the kernels dispatch on: detected_tier(), clamped by CASC_NO_SIMD
+/// Tier the kernel dispatches on: detected_tier(), clamped by CASC_NO_SIMD
 /// and any force_tier() override.
 [[nodiscard]] Tier active_tier() noexcept;
 
@@ -53,31 +52,14 @@ void force_tier(Tier tier) noexcept;
 /// Removes the force_tier() override.
 void clear_forced_tier() noexcept;
 
-// ---- kernels ---------------------------------------------------------------
-//
-// All kernels tolerate n == 0 and any alignment of their pointer operands
-// (gathered addresses are scattered by definition; destinations use
-// unaligned stores, which are full speed on aligned addresses — and the
-// aligned allocator makes destinations aligned in practice).
+// ---- kernel ----------------------------------------------------------------
 
 /// out[k] = the 8-byte little-endian word at base + offsets[k].
 /// Every offsets[k] must satisfy offsets[k] + 8 <= size of the region.
+/// Tolerates n == 0 and any alignment of its pointer operands (gathered
+/// addresses are scattered by definition; the destination uses unaligned
+/// stores, which are full speed on aligned addresses).
 void gather_offsets_u64(const std::byte* base, const std::uint64_t* offsets,
                         std::size_t n, std::uint64_t* out) noexcept;
-
-/// out[k] = base[idx[k]] for doubles.  Vector tiers use 32-bit signed lane
-/// indices, so every idx[k] must be < 2^31 (callers gate on the base
-/// array's length; the scalar tier has no such limit).
-void gather_index_f64(const double* base, const std::uint32_t* idx,
-                      std::size_t n, double* out) noexcept;
-
-/// out[k] = base[idx[k]] for 64-bit words.  Same index-range contract as
-/// gather_index_f64.
-void gather_index_u64(const std::uint64_t* base, const std::uint32_t* idx,
-                      std::size_t n, std::uint64_t* out) noexcept;
-
-/// Dense pack/stream copy (the drain side of the staging path).  Semantics
-/// of memcpy for non-overlapping regions.
-void stream_copy(void* dst, const void* src, std::size_t bytes) noexcept;
 
 }  // namespace casc::common::simd

@@ -6,11 +6,6 @@
 
 namespace casc::core {
 
-void Chunker::record(double seconds, std::uint64_t total_iters) {
-  (void)seconds;
-  (void)total_iters;
-}
-
 ChunkPlan::ChunkPlan(std::uint64_t total, std::uint64_t per_chunk)
     : total_iters_(total), iters_per_chunk_(per_chunk) {
   CASC_CHECK(total_iters_ > 0, "cannot plan an empty iteration space");
@@ -40,56 +35,6 @@ ChunkPlan::Range ChunkPlan::chunk(std::uint64_t c) const {
   CASC_CHECK(c < num_chunks_, "chunk index out of range");
   const std::uint64_t begin = c * iters_per_chunk_;
   return {begin, std::min(begin + iters_per_chunk_, total_iters_)};
-}
-
-FixedChunker::FixedChunker(std::uint64_t iters_per_chunk) : iters_(iters_per_chunk) {
-  CASC_CHECK(iters_ > 0, "chunk must contain at least one iteration");
-}
-
-FixedChunker FixedChunker::for_bytes(std::uint64_t bytes_per_iteration,
-                                     std::uint64_t chunk_bytes) {
-  CASC_CHECK(chunk_bytes > 0, "chunk size must be positive");
-  const std::uint64_t per_iter = std::max<std::uint64_t>(1, bytes_per_iteration);
-  return FixedChunker(std::max<std::uint64_t>(1, chunk_bytes / per_iter));
-}
-
-FixedChunker FixedChunker::for_bytes(const loopir::LoopNest& nest,
-                                     std::uint64_t chunk_bytes) {
-  return for_bytes(nest.bytes_per_iteration(), chunk_bytes);
-}
-
-std::uint64_t AdaptiveChunker::to_pow2(std::uint64_t v) noexcept {
-  std::uint64_t p = 1;
-  while (p < v && p < (1ull << 62)) p <<= 1;
-  return p;
-}
-
-AdaptiveChunker::AdaptiveChunker(std::uint64_t initial, std::uint64_t min_iters,
-                                 std::uint64_t max_iters)
-    : min_(to_pow2(min_iters)), max_(to_pow2(max_iters)) {
-  CASC_CHECK(min_iters > 0, "minimum chunk must be positive");
-  CASC_CHECK(min_ <= max_, "min chunk exceeds max chunk");
-  current_ = std::clamp(to_pow2(initial), min_, max_);
-}
-
-void AdaptiveChunker::record(double seconds, std::uint64_t total_iters) {
-  CASC_CHECK(seconds > 0.0, "a run cannot take zero time");
-  CASC_CHECK(total_iters > 0, "a run must cover at least one iteration");
-  const double throughput = static_cast<double>(total_iters) / seconds;
-
-  if (throughput >= best_throughput_) {
-    // The last move (or the starting point) helped: keep going.
-    best_throughput_ = throughput;
-  } else {
-    // The last move hurt: turn around.  The climber re-crosses the optimum
-    // and oscillates gently around it, which also lets it track drift.
-    direction_ = -direction_;
-    ++reversals_;
-    best_throughput_ = throughput;
-  }
-  const std::uint64_t next =
-      direction_ > 0 ? std::min(max_, current_ << 1) : std::max(min_, current_ >> 1);
-  current_ = std::max(min_, next);
 }
 
 }  // namespace casc::core

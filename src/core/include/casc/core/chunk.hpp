@@ -3,20 +3,13 @@
 // Cascaded execution partitions an iteration space into contiguous chunks
 // (paper §2.2: sized in *bytes touched* so "a 64 KB chunk" means the same
 // thing for loops with different per-iteration footprints).  The simulator,
-// the analysis passes, and the real-thread runtime all reason about the same
-// partition, so the planning types live here in the shared core rather than
-// in either backend:
-//
-//   * ChunkPlan       — an immutable partition of [0, total) into chunks.
-//   * Chunker         — strategy interface: what chunk size should the NEXT
-//                       run use, and (optionally) learn from a measurement.
-//   * FixedChunker    — geometry-derived size, the paper's byte-budget rule.
-//   * AdaptiveChunker — measured hill-climbing across repeated runs (the
-//                       wave5 pattern); the real runtime's run_auto feeds it.
+// the analysis passes, and the exec bridge all reason about the same
+// partition, so ChunkPlan — an immutable partition of [0, total) into
+// chunks — lives here in the shared core rather than in either backend.
 //
 // The offline counterpart, casc::cascade::tune_chunk_size, sweeps a
-// simulator to pick a FixedChunker setting; all three roads end in the same
-// ChunkPlan, which is what makes sim-vs-rt cross-validation meaningful.
+// simulator to pick a chunk size; it ends in the same ChunkPlan, which is
+// what makes sim-vs-rt cross-validation meaningful.
 #pragma once
 
 #include <cstdint>
@@ -59,84 +52,6 @@ class ChunkPlan {
   std::uint64_t total_iters_;
   std::uint64_t iters_per_chunk_;
   std::uint64_t num_chunks_;
-};
-
-/// Strategy interface: the chunk size the next run should use.  Stateless
-/// implementations (FixedChunker) always answer the same; learning ones
-/// (AdaptiveChunker) move the answer after each record()ed measurement.
-class Chunker {
- public:
-  virtual ~Chunker() = default;
-
-  /// Chunk size (iterations) for the next run.
-  [[nodiscard]] virtual std::uint64_t iters_per_chunk() const = 0;
-
-  /// Feedback hook: a run over `total_iters` iterations at the size
-  /// iters_per_chunk() last returned took `seconds`.  Default: ignore.
-  virtual void record(double seconds, std::uint64_t total_iters);
-
-  /// The partition the next run would use.
-  [[nodiscard]] ChunkPlan plan(std::uint64_t total_iters) const {
-    return ChunkPlan::for_iters(total_iters, iters_per_chunk());
-  }
-};
-
-/// Fixed chunk geometry, derived once from the paper's byte-budget rule (or
-/// set directly in iterations).
-class FixedChunker final : public Chunker {
- public:
-  explicit FixedChunker(std::uint64_t iters_per_chunk);
-
-  /// The §2.2 rule: ~`chunk_bytes` of touched data per chunk.
-  static FixedChunker for_bytes(std::uint64_t bytes_per_iteration,
-                                std::uint64_t chunk_bytes);
-  static FixedChunker for_bytes(const loopir::LoopNest& nest,
-                                std::uint64_t chunk_bytes);
-
-  [[nodiscard]] std::uint64_t iters_per_chunk() const noexcept override {
-    return iters_;
-  }
-
- private:
-  std::uint64_t iters_;
-};
-
-/// Deterministic hill-climber over power-of-two chunk sizes for repeated
-/// invocations of the same loop on real hardware (the wave5 pattern: ~5000
-/// calls of PARMVR).  Feed it the measured duration of each run; query
-/// current() — equivalently iters_per_chunk() — for the size to use next.
-/// It probes up/down and settles on the locally best size, re-probing
-/// periodically so it can follow slow drift.
-class AdaptiveChunker final : public Chunker {
- public:
-  /// All sizes in iterations; bounds are clamped to powers of two.
-  AdaptiveChunker(std::uint64_t initial, std::uint64_t min_iters,
-                  std::uint64_t max_iters);
-
-  /// Chunk size (iterations) to use for the next run.
-  [[nodiscard]] std::uint64_t current() const noexcept { return current_; }
-
-  [[nodiscard]] std::uint64_t iters_per_chunk() const noexcept override {
-    return current_;
-  }
-
-  /// Records that a run over `total_iters` iterations with chunk current()
-  /// took `seconds`.  Adjusts the next chunk size.
-  void record(double seconds, std::uint64_t total_iters) override;
-
-  /// Number of direction flips so far (diagnostic; a settled climber flips
-  /// rarely).
-  [[nodiscard]] unsigned reversals() const noexcept { return reversals_; }
-
- private:
-  static std::uint64_t to_pow2(std::uint64_t v) noexcept;
-
-  std::uint64_t min_;
-  std::uint64_t max_;
-  std::uint64_t current_;
-  double best_throughput_ = 0.0;  ///< iters/sec at `current_` before the probe
-  int direction_ = +1;            ///< +1 = growing, -1 = shrinking
-  unsigned reversals_ = 0;
 };
 
 }  // namespace casc::core

@@ -7,8 +7,9 @@
 // uses the same iters-per-chunk.  The restructure gate comes from
 // casc::analysis (the verifier pipeline over the spec's original claims):
 // the runtime itself stays analysis-free, exactly as its PreflightGate
-// contract prescribes, and a spec with unsound claims degrades to prefetch
-// with the refusal recorded in the result.
+// contract prescribes.  A spec with unsound claims runs with no helper at
+// all (the executor drops a refused helper; it does not fall back to a
+// prefetch), and the refusal is recorded in the result.
 //
 // Helper phases on real hardware:
 //   * prefetch:    force_load every operand line of the coming chunk,

@@ -4,8 +4,6 @@
 #include <string>
 
 #include "casc/common/check.hpp"
-#include "casc/common/stopwatch.hpp"
-#include "casc/core/chunk.hpp"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -623,17 +621,6 @@ void CascadeExecutor::run(std::uint64_t total_iters, std::uint64_t iters_per_chu
     stats_.preflight_refused = true;
     stats_.preflight_diag = common::render_text(gate.reason());
   }
-}
-
-void CascadeExecutor::run_auto(std::uint64_t total_iters,
-                               core::AdaptiveChunker& chunker, ExecRef exec,
-                               HelperRef helper) {
-  common::Stopwatch sw;
-  run(total_iters, chunker.current(), exec, helper);
-  // The chunker's model divides by both inputs; a degenerate call (empty
-  // loop, sub-tick wall time) carries no signal worth feeding back.
-  const double seconds = sw.elapsed_seconds();
-  if (total_iters > 0 && seconds > 0.0) chunker.record(seconds, total_iters);
 }
 
 }  // namespace casc::rt

@@ -55,10 +55,6 @@
 #include "casc/rt/token.hpp"
 #include "casc/telemetry/event_log.hpp"
 
-namespace casc::core {
-class AdaptiveChunker;  // casc/core/chunk.hpp
-}  // namespace casc::core
-
 namespace casc::rt {
 
 /// Executes iterations [begin, end) of the loop body.  Runs with the token
@@ -123,8 +119,8 @@ struct Resilience {
 /// read via CascadeExecutor::current_exec_context().
 struct ExecContext {
   /// This chunk was reclaimed from a quarantined/stuck owner and is running
-  /// on a non-owner thread: per-worker staging buffers belong to the owner
-  /// and must not be read.
+  /// on a non-owner thread: the owner's staged flag and staging belong to
+  /// the owner's helper, which may still be running, and must not be read.
   bool reclaimed = false;
   /// The owner's staging is suspect (its helper faulted earlier this run):
   /// run the unstaged fallback path even if the chunk looks staged.
@@ -249,14 +245,6 @@ class CascadeExecutor {
   /// refusal at the caller's risk.
   void run(std::uint64_t total_iters, std::uint64_t iters_per_chunk, ExecRef exec,
            HelperRef helper, const PreflightGate& gate);
-
-  /// Auto-chunk variant for repeated-call workloads (the wave5 pattern:
-  /// thousands of invocations of the same loop): uses `chunker.current()` as
-  /// the chunk size, times the run, and feeds the measurement back so the
-  /// chunk size hill-climbs across calls.  The chunker is caller-owned state;
-  /// one chunker per (loop, executor) pair.
-  void run_auto(std::uint64_t total_iters, core::AdaptiveChunker& chunker,
-                ExecRef exec, HelperRef helper = nullptr);
 
   /// Number of workers (including the calling thread).
   [[nodiscard]] unsigned num_threads() const noexcept { return num_threads_; }

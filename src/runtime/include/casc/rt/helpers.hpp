@@ -1,18 +1,11 @@
 // Building blocks for helper phases on real hardware: forced loads (reliable
-// cache warming), prefetch hints, span prefetchers with jump-out polling, and
-// per-worker sequential-buffer management for restructuring helpers.
+// cache warming), prefetch hints, and span prefetchers with jump-out polling.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
-#include <vector>
 
 #include "casc/common/align.hpp"
-#include "casc/common/check.hpp"
 #include "casc/rt/executor.hpp"
-#include "casc/rt/seq_buffer.hpp"
 #include "casc/rt/token.hpp"
 
 namespace casc::rt {
@@ -50,58 +43,6 @@ bool prefetch_span(const T* data, std::uint64_t begin, std::uint64_t end,
   }
   return true;
 }
-
-/// A ring of `lookahead` SequentialBuffers per worker, addressed by chunk
-/// index.  Chunk c is always handled (helper and execution phase alike) by
-/// worker c mod P, so `for_chunk` hands both phases the same buffer without
-/// any synchronization.  With lookahead L > 1, worker w's chunks rotate
-/// through L private buffers — slot (c / P) mod L — so the worker can stage
-/// up to L of its own future chunks before the first of them executes.  Slot
-/// reuse is safe by construction: chunk c and chunk c + P*L share a buffer,
-/// and c has always finished executing before any helper for c + P*L starts
-/// (the helper for c + P*L runs at the earliest alongside chunk c + 1's
-/// execution phase... only after worker w itself has drained c).
-class PerWorkerBuffers {
- public:
-  PerWorkerBuffers(unsigned num_workers, std::size_t capacity_bytes,
-                   std::uint64_t iters_per_chunk, unsigned lookahead = 1)
-      : iters_per_chunk_(iters_per_chunk),
-        num_workers_(num_workers),
-        lookahead_(lookahead) {
-    CASC_CHECK(num_workers > 0, "need at least one worker");
-    CASC_CHECK(iters_per_chunk > 0, "iters_per_chunk must be positive");
-    CASC_CHECK(lookahead > 0, "lookahead must be positive");
-    buffers_.reserve(std::size_t{num_workers} * lookahead);
-    for (std::size_t i = 0; i < std::size_t{num_workers} * lookahead; ++i) {
-      buffers_.push_back(std::make_unique<SequentialBuffer>(capacity_bytes));
-    }
-  }
-
-  /// Buffer owned by the worker responsible for the chunk starting at
-  /// iteration `chunk_begin` (ring slot chosen by the chunk index).
-  [[nodiscard]] SequentialBuffer& for_chunk(std::uint64_t chunk_begin) {
-    return for_chunk_index(chunk_begin / iters_per_chunk_);
-  }
-
-  /// Same, addressed by chunk index directly (what RestructuredLoop uses).
-  [[nodiscard]] SequentialBuffer& for_chunk_index(std::uint64_t chunk) {
-    const std::uint64_t worker = chunk % num_workers_;
-    const std::uint64_t slot = (chunk / num_workers_) % lookahead_;
-    return *buffers_[worker * lookahead_ + slot];
-  }
-
-  [[nodiscard]] unsigned size() const noexcept {
-    return static_cast<unsigned>(buffers_.size());
-  }
-
-  [[nodiscard]] unsigned lookahead() const noexcept { return lookahead_; }
-
- private:
-  std::uint64_t iters_per_chunk_;
-  unsigned num_workers_;
-  unsigned lookahead_;
-  std::vector<std::unique_ptr<SequentialBuffer>> buffers_;
-};
 
 /// Convenience: cascades a per-iteration body over [0, n).
 template <typename Body>

@@ -5,17 +5,16 @@
 // from an analysis verdict (casc::analysis::analyze over the loop's spec, or
 // casc::analysis::verify_ref_stream over its reference stream).  A gate
 // either carries a proof ("every operand the helper stages is read-only") or a
-// refusal diagnostic.  Gated entry points (CascadeExecutor::run overload,
-// RestructuredLoop::run overload) consult the gate before letting a helper
-// stage values:
+// refusal diagnostic.  The gated CascadeExecutor::run overload consults the
+// gate before letting a helper stage values:
 //   * proven        -> the helper runs normally;
 //   * refused       -> the helper is not allowed to stage: the executor drops
-//                      the helper, RestructuredLoop degrades it to a pure
-//                      prefetch (gather-and-discard) pass, and the refusal is
-//                      recorded in the run's stats — execution-phase results
-//                      are identical either way, just slower;
+//                      it, so the run has no helper phase at all (not even a
+//                      prefetch), and the refusal is recorded in the run's
+//                      stats — execution-phase results are identical either
+//                      way, just slower;
 //   * CASC_NO_VERIFY=1 in the environment overrides any refusal (escape
-//     hatch for experiments; the diagnostic is still recorded).
+//     hatch for experiments; the helper runs and no refusal is recorded).
 #pragma once
 
 #include <string>

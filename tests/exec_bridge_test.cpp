@@ -283,6 +283,10 @@ TEST(ExecBridge, UnsafeSpecRefusesRestructureButStaysCorrect) {
   EXPECT_TRUE(got.preflight_refused);
   EXPECT_FALSE(got.preflight_diag.empty());
   EXPECT_EQ(got.staged_chunks, 0u);
+  // The refused helper is dropped, not demoted to a prefetch: no helper
+  // phase runs at all.
+  EXPECT_EQ(got.helpers_completed, 0u);
+  EXPECT_EQ(got.helpers_jumped_out, 0u);
   EXPECT_EQ(got.digest, ref.digest);
   EXPECT_EQ(got.rw_checksum, ref.rw_checksum);
 }
@@ -565,6 +569,70 @@ TEST(ExecBridgeChaos, AnyChaosScheduleMatchesReferenceBitForBit) {
       }
     }
   }
+}
+
+TEST(ExecBridgeChaos, JumpedOutHelpersLeaveTheirChunksUnstaged) {
+  // Every helper stalls far longer than a chunk's execution phase, so the
+  // token overtakes most of them mid-stall.  A helper that jumps out before
+  // its gather finished must leave its chunk unflagged: the chunk then
+  // executes from the arrays.  The loop is fresh, so its staging region
+  // holds nothing from an earlier run that could mask a wrongly flagged
+  // chunk.
+  exec::MaterializedLoop loop(load_spec("dense_sum.casc"));
+  const exec::ExecResult ref = exec::run_reference(loop);
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 2;
+  rt::CascadeExecutor executor(cfg);
+  exec::RtOptions opt;
+  opt.helper = exec::HelperMode::kRestructure;
+  const std::uint64_t ipc = exec::plan_for(loop, opt.chunk_bytes).iters_per_chunk();
+  const std::uint64_t chunks = (loop.num_iterations() + ipc - 1) / ipc;
+  rt::ChaosOptions chaos_opt;
+  chaos_opt.fault_rate = 1.0;
+  chaos_opt.allow_throw = false;
+  chaos_opt.allow_corrupt_staging = false;
+  // Below the executor's 25 ms stall grace, so a stall is a jump-out and
+  // never a helper fault.
+  chaos_opt.max_stall = std::chrono::milliseconds(10);
+  const rt::ChaosPlan plan = rt::ChaosPlan::make(5, chunks, ipc, chaos_opt);
+  opt.chaos = &plan;
+  const exec::ExecResult got = exec::run_cascaded(loop, executor, opt);
+  EXPECT_EQ(got.num_chunks, chunks);
+  EXPECT_GT(got.helpers_jumped_out, 0u);
+  EXPECT_LT(got.staged_chunks, got.num_chunks);
+  EXPECT_EQ(got.digest, ref.digest);
+  EXPECT_EQ(got.rw_checksum, ref.rw_checksum);
+}
+
+TEST(ExecBridgeChaos, ForcedHelperFaultsShowUpAsDegraded) {
+  // A guaranteed-fault schedule (rate 1.0, throws and corrupt-staging
+  // commits, no stalls) must leave tracks: the run matches the reference
+  // AND reports itself degraded.
+  exec::MaterializedLoop loop(load_spec("spmv_small.casc"));
+  const exec::ExecResult ref = exec::run_reference(loop);
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 2;
+  cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
+  rt::CascadeExecutor executor(cfg);
+  exec::RtOptions opt;
+  opt.helper = exec::HelperMode::kRestructure;
+  const std::uint64_t ipc = exec::plan_for(loop, opt.chunk_bytes).iters_per_chunk();
+  const std::uint64_t chunks = (loop.num_iterations() + ipc - 1) / ipc;
+  rt::ChaosOptions chaos_opt;
+  chaos_opt.fault_rate = 1.0;
+  chaos_opt.allow_stall = false;
+  const rt::ChaosPlan plan = rt::ChaosPlan::make(3, chunks, ipc, chaos_opt);
+  opt.chaos = &plan;
+  // A helper whose token already arrived is legitimately skipped, so one run
+  // COULD dodge every planned fault; a handful cannot.
+  bool saw_degraded = false;
+  for (int attempt = 0; attempt < 5 && !saw_degraded; ++attempt) {
+    const exec::ExecResult got = exec::run_cascaded(loop, executor, opt);
+    ASSERT_EQ(got.digest, ref.digest) << "attempt " << attempt;
+    ASSERT_EQ(got.rw_checksum, ref.rw_checksum) << "attempt " << attempt;
+    saw_degraded = got.degraded && got.helper_faults >= 1;
+  }
+  EXPECT_TRUE(saw_degraded);
 }
 
 TEST(ExecBridgeChaos, SoftBudgetDemotionKeepsResultsIdentical) {

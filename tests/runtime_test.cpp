@@ -19,7 +19,6 @@ namespace {
 using casc::common::CheckFailure;
 using casc::rt::CascadeExecutor;
 using casc::rt::ExecutorConfig;
-using casc::rt::PerWorkerBuffers;
 using casc::rt::Token;
 using casc::rt::TokenWatch;
 
@@ -264,55 +263,6 @@ TEST(Helpers, PrefetchSpanJumpsOutWhenSignalled) {
   const TokenWatch watch(&t, 0);  // chunk 0 is already signalled
   EXPECT_FALSE(casc::rt::prefetch_span(data.data(), 0, data.size(), watch,
                                        /*poll_every=*/1));
-}
-
-TEST(Helpers, PerWorkerBuffersMapChunksToOwners) {
-  PerWorkerBuffers bufs(3, 1024, 10);
-  // Chunks 0..5 start at 0,10,20,...; owner = chunk % 3.
-  EXPECT_EQ(&bufs.for_chunk(0), &bufs.for_chunk(30));   // chunks 0 and 3
-  EXPECT_EQ(&bufs.for_chunk(10), &bufs.for_chunk(40));  // chunks 1 and 4
-  EXPECT_NE(&bufs.for_chunk(0), &bufs.for_chunk(10));
-  EXPECT_NE(&bufs.for_chunk(10), &bufs.for_chunk(20));
-}
-
-TEST(Helpers, RestructuredCascadeMatchesSequential) {
-  // Full restructuring pipeline on real threads: gather A into per-worker
-  // buffers in the helper, drain in the execution phase; the result must be
-  // bit-identical to the sequential loop.
-  const std::uint64_t n = 4096;
-  const std::uint64_t chunk = 256;
-  std::vector<double> a(n);
-  std::vector<std::uint32_t> ij(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    a[i] = static_cast<double>(i) * 0.5;
-    ij[i] = static_cast<std::uint32_t>((i * 7919) % n);  // fixed permutation-ish map
-  }
-  std::vector<double> want(n), got(n);
-  for (std::uint64_t i = 0; i < n; ++i) want[i] = a[ij[i]] + 1.0;
-
-  CascadeExecutor ex(ExecutorConfig{4, false});
-  PerWorkerBuffers bufs(ex.num_threads(), chunk * sizeof(double), chunk);
-  // Distinct chunks must occupy distinct bytes (distinct workers write their
-  // own flags concurrently) — vector<bool> would pack them into shared words.
-  std::vector<char> staged((n + chunk - 1) / chunk, 0);
-  ex.run(
-      n, chunk,
-      [&](std::uint64_t b, std::uint64_t e) {
-        auto& buf = bufs.for_chunk(b);
-        if (staged[b / chunk] != 0) {
-          for (std::uint64_t i = b; i < e; ++i) got[i] = buf.pop<double>() + 1.0;
-        } else {
-          for (std::uint64_t i = b; i < e; ++i) got[i] = a[ij[i]] + 1.0;
-        }
-      },
-      [&](std::uint64_t b, std::uint64_t e, const TokenWatch&) {
-        auto& buf = bufs.for_chunk(b);
-        buf.reset();
-        for (std::uint64_t i = b; i < e; ++i) buf.push(a[ij[i]]);
-        staged[b / chunk] = 1;  // set only after the full stage completes
-        return true;
-      });
-  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
-// Scalar-vs-SIMD bit-identity for the gather/pack kernels and everything
-// built on them.  The scalar tier is the semantic ground truth; every vector
-// tier the host supports must reproduce it bit for bit, at three levels:
+// Scalar-vs-SIMD bit-identity.  The scalar tier is the semantic ground
+// truth; every vector tier the host supports must reproduce it bit for bit,
+// at two levels:
 //
-//   1. the raw kernels (common/simd.hpp) over randomized shapes, including
-//      every tail length the masked/remainder paths handle;
-//   2. the RestructuredLoop IndexedGather staging path against the plain
-//      element-wise lambda path;
-//   3. the exec bridge: staged digests across all helper modes and chunk
-//      plans must agree across tiers (the CI acceptance property).
+//   1. the one remaining kernel (common/simd.hpp, gather_offsets_u64) over
+//      randomized shapes, including every tail length the masked/remainder
+//      paths handle;
+//   2. the exec bridge: staged digests across all helper modes and chunk
+//      plans must agree across tiers.  No run path dispatches a SIMD kernel,
+//      so this pins that switching the tier changes nothing.
 //
 // Tier switching uses the force_tier() test hook, so one process exercises
 // every tier the host supports (a host without AVX2/AVX-512 just runs the
@@ -15,7 +15,6 @@
 // separately by the exec_bridge_nosimd ctest entry.
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -30,7 +29,6 @@
 #include "casc/exec/materialize.hpp"
 #include "casc/loopir/loop_spec.hpp"
 #include "casc/rt/executor.hpp"
-#include "casc/rt/restructured.hpp"
 
 namespace {
 
@@ -91,76 +89,6 @@ TEST(SimdKernels, GatherOffsetsU64MatchesScalarBitForBit) {
   }
 }
 
-TEST(SimdKernels, GatherIndexF64MatchesScalarBitForBit) {
-  common::Rng rng(0xF64F64ull);
-  std::vector<double> base(4096);
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    // Raw random bits, including NaNs/denormals: the kernels move bytes, so
-    // identity must hold for every bit pattern, not just nice numbers.
-    const std::uint64_t bits = rng.next();
-    std::memcpy(&base[i], &bits, 8);
-  }
-  for (const std::size_t n : kLens) {
-    std::vector<std::uint32_t> idx(n);
-    for (auto& v : idx) v = static_cast<std::uint32_t>(rng.next() % base.size());
-    std::vector<double> want(n, 0.0);
-    {
-      ForcedTier f(simd::Tier::kScalar);
-      simd::gather_index_f64(base.data(), idx.data(), n, want.data());
-    }
-    for (const simd::Tier tier : host_tiers()) {
-      std::vector<double> got(n, -1.0);
-      ForcedTier f(tier);
-      simd::gather_index_f64(base.data(), idx.data(), n, got.data());
-      EXPECT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(double)))
-          << "n=" << n << " tier=" << simd::tier_name(tier);
-    }
-  }
-}
-
-TEST(SimdKernels, GatherIndexU64MatchesScalarBitForBit) {
-  common::Rng rng(0x6A77E12ull);
-  std::vector<std::uint64_t> base(4096);
-  for (auto& v : base) v = rng.next();
-  for (const std::size_t n : kLens) {
-    std::vector<std::uint32_t> idx(n);
-    for (auto& v : idx) v = static_cast<std::uint32_t>(rng.next() % base.size());
-    std::vector<std::uint64_t> want(n, 0);
-    {
-      ForcedTier f(simd::Tier::kScalar);
-      simd::gather_index_u64(base.data(), idx.data(), n, want.data());
-    }
-    for (const simd::Tier tier : host_tiers()) {
-      std::vector<std::uint64_t> got(n, 1);
-      ForcedTier f(tier);
-      simd::gather_index_u64(base.data(), idx.data(), n, got.data());
-      EXPECT_EQ(want, got) << "n=" << n << " tier=" << simd::tier_name(tier);
-    }
-  }
-}
-
-TEST(SimdKernels, StreamCopyMatchesMemcpyAtEveryLength) {
-  common::Rng rng(0xC0B1E5ull);
-  std::vector<std::byte> src(8192);
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    src[i] = static_cast<std::byte>(rng.next());
-  }
-  for (const std::size_t bytes :
-       {std::size_t{0}, std::size_t{1}, std::size_t{31}, std::size_t{32},
-        std::size_t{33}, std::size_t{63}, std::size_t{64}, std::size_t{65},
-        std::size_t{8191}}) {
-    for (const simd::Tier tier : host_tiers()) {
-      std::vector<std::byte> dst(bytes + 1, std::byte{0x5a});
-      ForcedTier f(tier);
-      simd::stream_copy(dst.data(), src.data(), bytes);
-      EXPECT_EQ(0, std::memcmp(dst.data(), src.data(), bytes))
-          << "bytes=" << bytes << " tier=" << simd::tier_name(tier);
-      // One-past-the-end byte untouched: no overwrite beyond `bytes`.
-      EXPECT_EQ(std::byte{0x5a}, dst[bytes]) << "tier=" << simd::tier_name(tier);
-    }
-  }
-}
-
 // ---- aligned allocation -----------------------------------------------------
 
 TEST(AlignedAlloc, TierPolicyAndStorageAlignment) {
@@ -186,83 +114,6 @@ TEST(AlignedAlloc, AllocatorBacksAlignedVectors) {
                     common::kCacheLineSize);
   v.assign(2048, 7u);
   EXPECT_EQ(7u, v[2047]);
-}
-
-// ---- RestructuredLoop: IndexedGather staging vs the plain lambda path -------
-
-TEST(SimdRestructured, IndexedGatherMatchesLambdaGatherEveryTier) {
-  constexpr std::uint64_t kN = 40'000;
-  constexpr std::uint64_t kBase = 8192;
-  common::Rng rng(0x1D0FD1CEull);
-  std::vector<double> base(kBase);
-  std::vector<std::uint32_t> idx(kN);
-  for (auto& v : base) {
-    const std::uint64_t bits = rng.next();
-    std::memcpy(&v, &bits, 8);
-  }
-  for (auto& v : idx) v = static_cast<std::uint32_t>(rng.next() % kBase);
-
-  rt::ExecutorConfig cfg;
-  cfg.num_threads = 3;
-  rt::CascadeExecutor executor(cfg);
-
-  auto run_digest = [&](auto&& gather) {
-    rt::RestructuredOptions opt;
-    opt.iters_per_chunk = 1000;  // non-multiple of the SIMD block size
-    rt::RestructuredLoop<double> loop(executor, opt);
-    std::uint64_t digest = 0xcbf29ce484222325ull;
-    loop.run(kN, gather, [&](std::uint64_t, double v) {
-      std::uint64_t bits;
-      std::memcpy(&bits, &v, 8);
-      digest = (digest ^ bits) * 0x100000001b3ull;
-    });
-    EXPECT_GT(loop.last_run_stats().chunks_staged, 0u);
-    return digest;
-  };
-
-  const std::uint64_t want =
-      run_digest([&](std::uint64_t i) { return base[idx[i]]; });
-  for (const simd::Tier tier : host_tiers()) {
-    ForcedTier f(tier);
-    EXPECT_EQ(want, run_digest(rt::indexed_gather(base.data(), kBase, idx.data())))
-        << "tier=" << simd::tier_name(tier);
-  }
-}
-
-TEST(SimdRestructured, SpanConsumeMatchesElementConsume) {
-  constexpr std::uint64_t kN = 20'000;
-  constexpr std::uint64_t kBase = 4096;
-  common::Rng rng(0x5Fa5ull);
-  std::vector<std::uint64_t> base(kBase);
-  std::vector<std::uint32_t> idx(kN);
-  for (auto& v : base) v = rng.next();
-  for (auto& v : idx) v = static_cast<std::uint32_t>(rng.next() % kBase);
-
-  rt::ExecutorConfig cfg;
-  cfg.num_threads = 2;
-  rt::CascadeExecutor executor(cfg);
-  const auto gather = rt::indexed_gather(base.data(), kBase, idx.data());
-
-  auto element_digest = [&] {
-    rt::RestructuredLoop<std::uint64_t> loop(executor, 512);
-    std::uint64_t digest = 0xcbf29ce484222325ull;
-    loop.run(kN, gather, [&](std::uint64_t, std::uint64_t v) {
-      digest = (digest ^ v) * 0x100000001b3ull;
-    });
-    return digest;
-  }();
-  auto span_digest = [&] {
-    rt::RestructuredLoop<std::uint64_t> loop(executor, 512);
-    std::uint64_t digest = 0xcbf29ce484222325ull;
-    loop.run(kN, gather,
-             [&](std::uint64_t b, std::uint64_t e, const std::uint64_t* vals) {
-               for (std::uint64_t i = b; i < e; ++i) {
-                 digest = (digest ^ vals[i - b]) * 0x100000001b3ull;
-               }
-             });
-    return digest;
-  }();
-  EXPECT_EQ(element_digest, span_digest);
 }
 
 // ---- exec bridge: staged digests identical across tiers ---------------------

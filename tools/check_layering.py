@@ -9,7 +9,9 @@ The refactored dependency order is strictly one-directional:
 
 The two backends share ONLY the core/analysis layers: src/cascade/ must not
 include casc/rt/ headers and src/runtime/ must not include casc/cascade/
-headers — the bridge between them is casc::exec.  Pipeline chains follow the
+headers — the bridge between them is casc::exec.  The runtime runs opaque
+callables over plain iteration ranges, so it needs nothing from casc/core/
+either: exec plans the chunks and hands the runtime their size.  Pipeline chains follow the
 same order: loopir owns PipelineSpec, analysis owns the staging plan
 (plan_pipeline), exec owns MaterializedPipeline and the staging engine, and
 svc/tools sit on top.  This script parses every
@@ -50,8 +52,9 @@ FORBIDDEN: dict[str, list[str]] = {
                    "casc/cascade/", "casc/rt/", "casc/exec/", "casc/svc/"],
     # The two backends: no cross-inclusion outside the shared core.
     "src/cascade/": ["casc/rt/", "casc/exec/", "casc/svc/"],
-    "src/runtime/": ["casc/cascade/", "casc/analysis/", "casc/trace/",
-                     "casc/loopir/", "casc/sim/", "casc/exec/", "casc/svc/"],
+    "src/runtime/": ["casc/core/", "casc/cascade/", "casc/analysis/",
+                     "casc/trace/", "casc/loopir/", "casc/sim/", "casc/exec/",
+                     "casc/svc/"],
     "src/exec/": ["casc/cascade/", "casc/sim/", "casc/svc/"],
     # The service daemon sits on top of exec/runtime/telemetry; nothing in
     # src/ may depend back on it (tools/ are the only consumers).

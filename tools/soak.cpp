@@ -7,7 +7,9 @@
 //   run % 4 == 0   exec bridge, HelperMode::kNone  (chaos on a no-op helper)
 //   run % 4 == 1   exec bridge, HelperMode::kPrefetch
 //   run % 4 == 2   exec bridge, HelperMode::kRestructure
-//   run % 4 == 3   RestructuredLoop<double> (loop-carried recurrence)
+//   run % 4 == 3   exec bridge, HelperMode::kRestructure over a scattered
+//                  gather (the loop-carried accumulator makes every staged
+//                  value's order matter)
 //
 // The contract under test is the fail-soft guarantee: EVERY cascade must
 // complete with the bit-identical sequential result and NO run may abort —
@@ -42,7 +44,6 @@
 #include "casc/report/table.hpp"
 #include "casc/rt/executor.hpp"
 #include "casc/rt/fault_injection.hpp"
-#include "casc/rt/restructured.hpp"
 #include "casc/svc/client.hpp"
 #include "casc/svc/server.hpp"
 
@@ -82,6 +83,21 @@ access b read
 access y write
 )";
 
+/// Scattered gather with the same trip count, so one chaos geometry serves
+/// both specs: x is read through a random index, as in
+/// tests/specs/spmv_small.casc, then y is read and written.
+constexpr const char* kSoakGatherSpec = R"(loop soak_gather
+trip 16384
+compute 14 9
+layout conflicting
+array y 8 16384 rw
+array x 8 4096 ro
+index col 16384 random 11
+access x read via col
+access y read
+access y write
+)";
+
 constexpr std::uint64_t kItersPerChunk = 1024;
 
 /// Per-run seed derivation (splitmix-style) so consecutive runs draw
@@ -92,31 +108,6 @@ std::uint64_t mix(std::uint64_t seed, std::uint64_t run) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
-
-/// The restructured-loop soak workload: a loop-carried recurrence over a
-/// gathered operand, so any staleness or ordering bug changes the final bits.
-struct RecurrenceWorkload {
-  std::vector<double> a;
-  std::vector<std::uint32_t> ij;
-  std::vector<double> want;
-  double want_acc = 0.0;
-
-  explicit RecurrenceWorkload(std::uint64_t n) : a(n), ij(n), want(n) {
-    std::uint64_t state = 0x5DEECE66Dull;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      state = mix(state, i + 1);
-      a[i] = static_cast<double>(static_cast<std::int64_t>(state % 2000001) -
-                                 1000000);
-      ij[i] = static_cast<std::uint32_t>(mix(state, i) % n);
-    }
-    double acc = 0.0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      acc = acc * 0.75 + a[ij[i]];
-      want[i] = acc;
-    }
-    want_acc = acc;
-  }
-};
 
 struct SoakTotals {
   std::uint64_t helper_faults = 0;
@@ -156,28 +147,21 @@ int run_soak(const cli::Args& args) {
   exec_cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
   rt::CascadeExecutor executor(exec_cfg);
 
-  // Bridge workload: materialize once, reference once.
+  // Bridge workloads: materialize once, reference once.
   common::DiagnosticList diags;
   const loopir::LoopSpec spec = loopir::LoopSpec::parse(kSoakSpec, diags);
+  const loopir::LoopSpec gather_spec =
+      loopir::LoopSpec::parse(kSoakGatherSpec, diags);
   if (!diags.ok()) {
     std::cerr << diags.render_text();
     return 1;
   }
   exec::MaterializedLoop loop(spec);
+  exec::MaterializedLoop gather_loop(gather_spec);
   const exec::ExecResult ref = exec::run_reference(loop);
+  const exec::ExecResult gather_ref = exec::run_reference(gather_loop);
   const std::uint64_t num_chunks =
       (loop.num_iterations() + kItersPerChunk - 1) / kItersPerChunk;
-
-  // Restructured workload: one persistent driver whose options point at a
-  // mutable plan slot, refilled with a fresh schedule before each run.
-  const RecurrenceWorkload rec(loop.num_iterations());
-  rt::ChaosPlan rec_plan;
-  rt::RestructuredOptions rec_opt;
-  rec_opt.iters_per_chunk = kItersPerChunk;
-  rec_opt.lookahead = 2;
-  rec_opt.chaos = &rec_plan;
-  rt::RestructuredLoop<double> rec_loop(executor, rec_opt);
-  std::vector<double> got(rec.a.size());
 
   SoakTotals totals;
   std::uint64_t failures = 0;
@@ -196,32 +180,20 @@ int run_soak(const cli::Args& args) {
     const rt::ChaosPlan plan = rt::ChaosPlan::make(mix(seed, run), num_chunks,
                                                    kItersPerChunk, chaos_opt);
     try {
-      if (run % 4 == 3) {
-        rec_plan = plan;
-        double acc = 0.0;
-        std::fill(got.begin(), got.end(), 0.0);
-        rec_loop.run(
-            rec.a.size(), [&](std::uint64_t i) { return rec.a[rec.ij[i]]; },
-            [&](std::uint64_t i, double v) {
-              acc = acc * 0.75 + v;
-              got[i] = acc;
-            });
-        if (acc != rec.want_acc || got != rec.want) {
-          fail(run, "restructured-loop result diverged from the reference");
-        }
-      } else {
-        exec::RtOptions rt_opt;
-        rt_opt.iters_per_chunk = kItersPerChunk;
-        rt_opt.helper = run % 4 == 0   ? exec::HelperMode::kNone
-                        : run % 4 == 1 ? exec::HelperMode::kPrefetch
-                                       : exec::HelperMode::kRestructure;
-        rt_opt.chaos = &plan;
-        rt_opt.soft_budget_factor = 8.0;
-        rt_opt.estimated_seq_seconds = ref.seconds;
-        const exec::ExecResult got_rt = exec::run_cascaded(loop, executor, rt_opt);
-        if (got_rt.digest != ref.digest || got_rt.rw_checksum != ref.rw_checksum) {
-          fail(run, "cascaded digest diverged from the sequential reference");
-        }
+      const bool gather = run % 4 == 3;
+      const exec::ExecResult& want = gather ? gather_ref : ref;
+      exec::RtOptions rt_opt;
+      rt_opt.iters_per_chunk = kItersPerChunk;
+      rt_opt.helper = run % 4 == 0   ? exec::HelperMode::kNone
+                      : run % 4 == 1 ? exec::HelperMode::kPrefetch
+                                     : exec::HelperMode::kRestructure;
+      rt_opt.chaos = &plan;
+      rt_opt.soft_budget_factor = 8.0;
+      rt_opt.estimated_seq_seconds = want.seconds;
+      const exec::ExecResult got_rt =
+          exec::run_cascaded(gather ? gather_loop : loop, executor, rt_opt);
+      if (got_rt.digest != want.digest || got_rt.rw_checksum != want.rw_checksum) {
+        fail(run, "cascaded digest diverged from the sequential reference");
       }
     } catch (const std::exception& e) {
       // Helper-site chaos must never abort a cascade; an escaped exception
