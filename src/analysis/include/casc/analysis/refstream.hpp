@@ -1,5 +1,4 @@
-// Reference-stream preflight verification — the single dynamic checker both
-// backends trust.
+// Reference-stream preflight verification — the simulator's gate.
 //
 // The restructuring helper (paper §2.2) copies operands it believes are
 // read-only into a per-processor sequential buffer *before* the preceding
@@ -11,9 +10,11 @@
 // classification; this pass checks it against the workload's own reference
 // stream (the ground truth) and reports every violation as a Diagnostic.
 //
-// There is exactly one implementation of this check in the tree.  The
-// simulator's engine calls it directly; the threaded runtime reaches it
-// through casc::exec, which turns the report into an rt::PreflightGate.
+// Only the simulator's engine calls it, and a refused stream demotes the
+// simulated restructure run to prefetch.  The threaded runtime is gated by
+// a different check: casc::exec proves each loop with analysis::analyze
+// plus the race certifier (prove() in materialize.cpp) and hands that
+// verdict to rt::PreflightGate, and a refused gate drops the helper.
 #pragma once
 
 #include <cstdint>

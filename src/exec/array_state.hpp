@@ -1,0 +1,56 @@
+// The deterministic array state a MaterializedLoop and a MaterializedPipeline
+// share: how an array starts (index values, or a keyed pseudo-random fill)
+// and how its bytes are checksummed.  A loop keys its data arrays by nest
+// array id, a pipeline by pipeline array position; everything else is one
+// implementation.  Private to casc_exec.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "casc/common/rng.hpp"
+
+namespace casc::exec::detail {
+
+/// FNV-1a offset basis: the checksum of no bytes.
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// Folds `bytes` bytes at `p` into the FNV-1a hash `hash`, byte by byte.
+inline std::uint64_t fnv1a(std::uint64_t hash, const std::byte* p,
+                           std::uint64_t bytes) noexcept {
+  for (std::uint64_t i = 0; i < bytes; ++i) {
+    hash = (hash ^ static_cast<std::uint64_t>(p[i])) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// Index array: element i of `out` (elem_size bytes each) holds values[i] in
+/// its low min(elem_size, 8) bytes, little-endian, so the runtime chases the
+/// indices the simulator modelled.  The element's other bytes are untouched.
+inline void fill_index(std::byte* out, std::uint32_t elem_size,
+                       const std::vector<std::uint32_t>& values) noexcept {
+  const std::size_t width = std::min<std::size_t>(elem_size, 8);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::uint64_t v = values[i];
+    std::memcpy(out + i * elem_size, &v, width);
+  }
+}
+
+/// Data array: `bytes` bytes of deterministic pseudo-random contents keyed
+/// by `key`, so every backend, run and reset sees identical operand values.
+inline void fill_random(std::byte* out, std::uint64_t bytes,
+                        std::uint64_t key) noexcept {
+  common::Rng rng(0xC45CADEull ^ (key + 1) * 0x9e3779b97f4a7c15ull);
+  std::uint64_t pos = 0;
+  while (pos < bytes) {
+    const std::uint64_t word = rng.next();
+    const std::size_t take = std::min<std::uint64_t>(8, bytes - pos);
+    std::memcpy(out + pos, &word, take);
+    pos += take;
+  }
+}
+
+}  // namespace casc::exec::detail

@@ -286,12 +286,11 @@ ExecResult run_reference(MaterializedLoop& loop) {
 namespace {
 
 /// The one staging engine: a cascaded run of `loop` against the arrays'
-/// CURRENT contents (see reference_no_reset).  run_cascaded and
-/// run_pipeline_independent run it over each loop's own staging region;
-/// run_pipeline_cascaded passes the chain's arena (`arena`) instead.  A
-/// restructure run stages chunk c at region + 8 * staged_refs_before(begin),
-/// the flat layout of the whole staged stream, and chunk c's execution phase
-/// reads its values from there.
+/// CURRENT contents (see reference_no_reset).  run_cascaded runs it over the
+/// loop's own staging region; run_pipeline_cascaded passes the chain's arena
+/// (`arena`) instead.  A restructure run stages chunk c at region +
+/// 8 * staged_refs_before(begin), the flat layout of the whole staged stream,
+/// and chunk c's execution phase reads its values from there.
 ExecResult cascaded_no_reset(MaterializedLoop& loop,
                              rt::CascadeExecutor& executor,
                              const RtOptions& opt, StagingRegion arena = {}) {
@@ -476,31 +475,6 @@ PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
     stage.result = cascaded_no_reset(
         pipe.stage(k), executor, opt,
         {region, region == nullptr ? 0 : pipe.plan().arena_bytes});
-    chain = fold_chain(chain, stage.result.digest);
-    out.stages.push_back(std::move(stage));
-  }
-  out.seconds = watch.elapsed_seconds();
-  out.chain_digest = chain;
-  out.rw_checksum = pipe.rw_checksum();
-  return out;
-}
-
-PipelineResult run_pipeline_independent(MaterializedPipeline& pipe,
-                                        unsigned num_threads,
-                                        const RtOptions& opt) {
-  pipe.reset();
-  PipelineResult out;
-  std::uint64_t chain = MaterializedLoop::kAccSeed;
-  common::Stopwatch watch;
-  for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
-    // A fresh executor per loop: the token ring is built up and torn down
-    // every stage, exactly the per-loop cost the pipeline amortizes away.
-    rt::ExecutorConfig cfg;
-    cfg.num_threads = num_threads;
-    rt::CascadeExecutor executor(cfg);
-    PipelineStageResult stage;
-    stage.name = pipe.spec().stages[k].name;
-    stage.result = cascaded_no_reset(pipe.stage(k), executor, opt);
     chain = fold_chain(chain, stage.result.digest);
     out.stages.push_back(std::move(stage));
   }

@@ -26,11 +26,11 @@
 // the generic interpreter over the resolved ResolvedRef stream.
 //
 // One staging engine runs every cascaded path.  A single loop is a one-stage
-// chain: run_cascaded and run_pipeline_independent stage through the loop's
-// own region (MaterializedLoop::staging_region), run_pipeline_cascaded
-// through the chain's one arena (MaterializedPipeline::region).  Either way
-// staged reference p lives at word p of the region, so the chunk geometry
-// never shifts the bytes.
+// chain: run_cascaded stages through the loop's own region
+// (MaterializedLoop::staging_region), run_pipeline_cascaded through the
+// chain's one arena (MaterializedPipeline::region).  Either way staged
+// reference p lives at word p of the region, so the chunk geometry never
+// shifts the bytes.
 #pragma once
 
 #include <cstdint>
@@ -163,8 +163,7 @@ struct PipelineStageResult {
 
 /// Outcome of one whole-chain run.  The chain digest folds every stage
 /// digest, and the checksum covers the pipeline's shared arrays, so the
-/// three execution paths (reference / pipelined cascade / independent
-/// cascades) are comparable bit for bit.
+/// pipelined cascade is comparable bit for bit with the reference.
 struct PipelineResult {
   std::uint64_t chain_digest = 0;
   /// MaterializedPipeline::rw_checksum() after the last stage; the only
@@ -187,7 +186,8 @@ struct PipelineResult {
 
 /// Sequential reference for the whole chain: shared arrays reset ONCE, then
 /// every stage interpreted in order (stage k's writes are stage k+1's
-/// inputs).  The ground truth both cascaded paths must match bit for bit.
+/// inputs).  The ground truth the pipelined cascade must match bit for bit,
+/// and the baseline every chain timing is stated against.
 PipelineResult run_pipeline_reference(MaterializedPipeline& pipe);
 
 /// The pipelined cascade: every stage runs on the SAME executor — the token
@@ -198,14 +198,5 @@ PipelineResult run_pipeline_reference(MaterializedPipeline& pipe);
 PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
                                      rt::CascadeExecutor& executor,
                                      const RtOptions& opt = {});
-
-/// The baseline the pipeline is measured against: the same chain over the
-/// same shared arrays, but each stage as an INDEPENDENT cascade — a fresh
-/// executor (ring built up and torn down per loop) and each stage loop's own
-/// staging region.  Digest-identical to the other two paths by
-/// construction.
-PipelineResult run_pipeline_independent(MaterializedPipeline& pipe,
-                                        unsigned num_threads,
-                                        const RtOptions& opt = {});
 
 }  // namespace casc::exec

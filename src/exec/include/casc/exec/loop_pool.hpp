@@ -1,5 +1,4 @@
-// A reuse pool for MaterializedLoops and MaterializedPipelines, keyed by the
-// spec's canonical text.
+// A reuse pool for MaterializedLoops, keyed by the spec's canonical text.
 //
 // Materialization is the expensive step of executing a LoopSpec on the real
 // runtime: instantiating the nest, filling index arrays, and resolving the
@@ -12,9 +11,7 @@
 // restructure proofs its earlier runs paid for
 // (MaterializedLoop::restructure_proof), so a repeat job skips the analyzer
 // as well, and keeps the staging region its first restructure run
-// allocated.  Pipelines pool the same way — a cached MaterializedPipeline
-// additionally keeps its staging plan and arena, so a repeat chain skips
-// planning and the arena allocation too.
+// allocated.
 //
 // Thread-safe.  A lease is move-only RAII: destruction returns the instance
 // to the pool.  The per-key cap drops a release whose bucket is already full
@@ -33,7 +30,6 @@
 #include <vector>
 
 #include "casc/exec/materialize.hpp"
-#include "casc/exec/pipeline.hpp"
 
 namespace casc::exec {
 
@@ -68,54 +64,19 @@ class LoopLease {
   bool reused_ = false;
 };
 
-/// Exclusive ownership of one pooled MaterializedPipeline (same contract as
-/// LoopLease).
-class PipelineLease {
- public:
-  PipelineLease() = default;
-  PipelineLease(PipelineLease&& other) noexcept { *this = std::move(other); }
-  PipelineLease& operator=(PipelineLease&& other) noexcept;
-  PipelineLease(const PipelineLease&) = delete;
-  PipelineLease& operator=(const PipelineLease&) = delete;
-  ~PipelineLease();
-
-  [[nodiscard]] bool valid() const noexcept { return pipeline_ != nullptr; }
-  [[nodiscard]] MaterializedPipeline& pipeline() noexcept { return *pipeline_; }
-  [[nodiscard]] const MaterializedPipeline& pipeline() const noexcept {
-    return *pipeline_;
-  }
-  [[nodiscard]] bool reused() const noexcept { return reused_; }
-
- private:
-  friend class LoopPool;
-  PipelineLease(LoopPool* pool, std::string key,
-                std::unique_ptr<MaterializedPipeline> pipeline, bool reused)
-      : pool_(pool),
-        key_(std::move(key)),
-        pipeline_(std::move(pipeline)),
-        reused_(reused) {}
-
-  LoopPool* pool_ = nullptr;
-  std::string key_;
-  std::unique_ptr<MaterializedPipeline> pipeline_;
-  bool reused_ = false;
-};
-
 struct LoopPoolStats {
   std::uint64_t hits = 0;        ///< acquire() served from the pool
   std::uint64_t misses = 0;      ///< acquire() had to materialize
   std::uint64_t discarded = 0;   ///< releases dropped by the per-key cap
   std::uint64_t evicted = 0;     ///< idle instances LRU-evicted by the total cap
-  std::uint64_t idle = 0;        ///< instances currently pooled (loops + pipelines)
+  std::uint64_t idle = 0;        ///< loops currently pooled
   std::uint64_t distinct_keys = 0;
 };
 
 class LoopPool {
  public:
   /// `max_idle_per_key` / `max_idle_total` bound how many idle instances the
-  /// pool retains; both must be >= 1.  The total cap spans loops AND
-  /// pipelines (a pooled pipeline holds a whole chain plus its arena, so it
-  /// must count against the same memory bound).
+  /// pool retains; both must be >= 1.
   explicit LoopPool(std::size_t max_idle_per_key = 4,
                     std::size_t max_idle_total = 64);
 
@@ -130,34 +91,23 @@ class LoopPool {
   [[nodiscard]] LoopLease acquire(const loopir::LoopSpec& spec,
                                   const std::string& key);
 
-  /// Pipeline counterpart of acquire(): key by the pipeline's canonical text.
-  /// A hit skips stage materialization, planning, and the arena allocation
-  /// in one go.
-  [[nodiscard]] PipelineLease acquire_pipeline(const loopir::PipelineSpec& spec,
-                                               const std::string& key);
-
   [[nodiscard]] LoopPoolStats stats() const;
 
  private:
   friend class LoopLease;
-  friend class PipelineLease;
 
-  template <typename T>
   struct Bucket {
-    std::vector<std::unique_ptr<T>> idle;
+    std::vector<std::unique_ptr<MaterializedLoop>> idle;
     std::uint64_t last_leased = 0;  ///< logical clock of the newest acquire
   };
 
   void release(const std::string& key, std::unique_ptr<MaterializedLoop> loop);
-  void release_pipeline(const std::string& key,
-                        std::unique_ptr<MaterializedPipeline> pipeline);
-  /// Drops one idle instance from the least-recently-leased non-empty bucket
-  /// across both maps.  Returns false when nothing is idle.  mutex_ held.
+  /// Drops one idle instance from the least-recently-leased non-empty
+  /// bucket.  Returns false when nothing is idle.  mutex_ held.
   bool evict_lru_locked();
 
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, Bucket<MaterializedLoop>> idle_;
-  std::unordered_map<std::string, Bucket<MaterializedPipeline>> idle_pipelines_;
+  std::unordered_map<std::string, Bucket> idle_;
   std::size_t max_idle_per_key_;
   std::size_t max_idle_total_;
   std::size_t idle_count_ = 0;

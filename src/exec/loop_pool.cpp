@@ -26,25 +26,6 @@ LoopLease::~LoopLease() {
   }
 }
 
-PipelineLease& PipelineLease::operator=(PipelineLease&& other) noexcept {
-  if (this != &other) {
-    if (pool_ != nullptr && pipeline_ != nullptr) {
-      pool_->release_pipeline(key_, std::move(pipeline_));
-    }
-    pool_ = std::exchange(other.pool_, nullptr);
-    key_ = std::move(other.key_);
-    pipeline_ = std::move(other.pipeline_);
-    reused_ = other.reused_;
-  }
-  return *this;
-}
-
-PipelineLease::~PipelineLease() {
-  if (pool_ != nullptr && pipeline_ != nullptr) {
-    pool_->release_pipeline(key_, std::move(pipeline_));
-  }
-}
-
 LoopPool::LoopPool(std::size_t max_idle_per_key, std::size_t max_idle_total)
     : max_idle_per_key_(max_idle_per_key), max_idle_total_(max_idle_total) {
   CASC_CHECK(max_idle_per_key >= 1, "LoopPool: max_idle_per_key must be >= 1");
@@ -54,7 +35,7 @@ LoopPool::LoopPool(std::size_t max_idle_per_key, std::size_t max_idle_total)
 LoopLease LoopPool::acquire(const loopir::LoopSpec& spec, const std::string& key) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    Bucket<MaterializedLoop>& bucket = idle_[key];
+    Bucket& bucket = idle_[key];
     bucket.last_leased = ++clock_;
     if (!bucket.idle.empty()) {
       std::unique_ptr<MaterializedLoop> loop = std::move(bucket.idle.back());
@@ -74,56 +55,16 @@ LoopLease LoopPool::acquire(const loopir::LoopSpec& spec, const std::string& key
   return LoopLease(this, key, std::move(loop), /*reused=*/false);
 }
 
-PipelineLease LoopPool::acquire_pipeline(const loopir::PipelineSpec& spec,
-                                         const std::string& key) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Bucket<MaterializedPipeline>& bucket = idle_pipelines_[key];
-    bucket.last_leased = ++clock_;
-    if (!bucket.idle.empty()) {
-      std::unique_ptr<MaterializedPipeline> pipeline =
-          std::move(bucket.idle.back());
-      bucket.idle.pop_back();
-      --idle_count_;
-      ++hits_;
-      return PipelineLease(this, key, std::move(pipeline), /*reused=*/true);
-    }
-  }
-  auto pipeline = std::make_unique<MaterializedPipeline>(spec);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
-  }
-  return PipelineLease(this, key, std::move(pipeline), /*reused=*/false);
-}
-
 bool LoopPool::evict_lru_locked() {
-  std::uint64_t oldest = 0;
-  Bucket<MaterializedLoop>* loop_victim = nullptr;
-  Bucket<MaterializedPipeline>* pipeline_victim = nullptr;
+  Bucket* victim = nullptr;
   for (auto& [key, bucket] : idle_) {
     if (bucket.idle.empty()) continue;
-    if (loop_victim == nullptr || bucket.last_leased < oldest) {
-      loop_victim = &bucket;
-      oldest = bucket.last_leased;
+    if (victim == nullptr || bucket.last_leased < victim->last_leased) {
+      victim = &bucket;
     }
   }
-  for (auto& [key, bucket] : idle_pipelines_) {
-    if (bucket.idle.empty()) continue;
-    if ((loop_victim == nullptr && pipeline_victim == nullptr) ||
-        bucket.last_leased < oldest) {
-      pipeline_victim = &bucket;
-      loop_victim = nullptr;
-      oldest = bucket.last_leased;
-    }
-  }
-  if (loop_victim != nullptr) {
-    loop_victim->idle.pop_back();
-  } else if (pipeline_victim != nullptr) {
-    pipeline_victim->idle.pop_back();
-  } else {
-    return false;
-  }
+  if (victim == nullptr) return false;
+  victim->idle.pop_back();
   --idle_count_;
   ++evicted_;
   return true;
@@ -132,7 +73,7 @@ bool LoopPool::evict_lru_locked() {
 void LoopPool::release(const std::string& key,
                        std::unique_ptr<MaterializedLoop> loop) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Bucket<MaterializedLoop>& bucket = idle_[key];
+  Bucket& bucket = idle_[key];
   if (bucket.idle.size() >= max_idle_per_key_) {
     ++discarded_;
     return;  // `loop` is destroyed here, outside any hot path
@@ -149,22 +90,6 @@ void LoopPool::release(const std::string& key,
   ++idle_count_;
 }
 
-void LoopPool::release_pipeline(const std::string& key,
-                                std::unique_ptr<MaterializedPipeline> pipeline) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Bucket<MaterializedPipeline>& bucket = idle_pipelines_[key];
-  if (bucket.idle.size() >= max_idle_per_key_) {
-    ++discarded_;
-    return;
-  }
-  if (idle_count_ >= max_idle_total_ && !evict_lru_locked()) {
-    ++discarded_;
-    return;
-  }
-  bucket.idle.push_back(std::move(pipeline));
-  ++idle_count_;
-}
-
 LoopPoolStats LoopPool::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   LoopPoolStats s;
@@ -175,9 +100,6 @@ LoopPoolStats LoopPool::stats() const {
   s.idle = idle_count_;
   std::uint64_t keys = 0;
   for (const auto& [key, bucket] : idle_) keys += bucket.idle.empty() ? 0 : 1;
-  for (const auto& [key, bucket] : idle_pipelines_) {
-    keys += bucket.idle.empty() ? 0 : 1;
-  }
   s.distinct_keys = keys;
   return s;
 }

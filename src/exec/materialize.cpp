@@ -6,8 +6,8 @@
 #include "casc/analysis/shadow.hpp"
 #include "casc/analysis/verifier.hpp"
 #include "casc/common/check.hpp"
-#include "casc/common/rng.hpp"
 #include "casc/common/stopwatch.hpp"
+#include "array_state.hpp"
 
 namespace casc::exec {
 
@@ -91,28 +91,12 @@ MaterializedLoop::MaterializedLoop(const loopir::LoopSpec& spec,
 void MaterializedLoop::reset() {
   for (loopir::ArrayId id = 0; id < nest_.num_arrays(); ++id) {
     if (bound_[id]) continue;
-    const loopir::ArraySpec& spec = nest_.array(id);
-    ArrayBytes& bytes = storage_[id];
     const std::vector<std::uint32_t>& index_values = nest_.index_values(id);
     if (!index_values.empty()) {
-      // Index array: real storage holds exactly the values the nest
-      // materialized, so the runtime chases the indices the sim modelled.
-      const std::size_t width = std::min<std::size_t>(spec.elem_size, 8);
-      for (std::size_t i = 0; i < index_values.size(); ++i) {
-        const std::uint64_t v = index_values[i];
-        std::memcpy(bytes.data() + i * spec.elem_size, &v, width);
-      }
-      continue;
-    }
-    // Data array: deterministic pseudo-random contents keyed by array id, so
-    // every backend (and every reset) sees identical operand values.
-    common::Rng rng(0xC45CADEull ^ (std::uint64_t{id} + 1) * 0x9e3779b97f4a7c15ull);
-    std::size_t pos = 0;
-    while (pos < bytes.size()) {
-      const std::uint64_t word = rng.next();
-      const std::size_t take = std::min<std::size_t>(8, bytes.size() - pos);
-      std::memcpy(bytes.data() + pos, &word, take);
-      pos += take;
+      detail::fill_index(storage_[id].data(), nest_.array(id).elem_size,
+                         index_values);
+    } else {
+      detail::fill_random(storage_[id].data(), storage_[id].size(), id);
     }
   }
 }
@@ -288,14 +272,10 @@ StagingRegion MaterializedLoop::staging_region() {
 }
 
 std::uint64_t MaterializedLoop::rw_checksum() const {
-  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a
+  std::uint64_t hash = detail::kFnvBasis;
   for (loopir::ArrayId id = 0; id < nest_.num_arrays(); ++id) {
     if (nest_.array(id).read_only) continue;
-    const std::byte* p = data_[id];
-    const std::uint64_t n = nest_.array(id).size_bytes();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      hash = (hash ^ static_cast<std::uint64_t>(p[i])) * 0x100000001b3ull;
-    }
+    hash = detail::fnv1a(hash, data_[id], nest_.array(id).size_bytes());
   }
   return hash;
 }

@@ -1,10 +1,7 @@
 #include "casc/exec/pipeline.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "casc/common/check.hpp"
-#include "casc/common/rng.hpp"
+#include "array_state.hpp"
 
 namespace casc::exec {
 
@@ -65,8 +62,6 @@ MaterializedPipeline::MaterializedPipeline(const loopir::PipelineSpec& spec)
 void MaterializedPipeline::fill_array(std::size_t i) {
   const loopir::LoopSpec::ArrayDecl& decl = spec_.arrays[i];
   std::byte* out = shared_[i].data();
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(decl.elem_size) * decl.num_elems;
   if (decl.pattern) {
     // Index array: storage holds the values SOME stage's nest materialized
     // for it.  Every stage declaring it as an index array materializes the
@@ -79,27 +74,15 @@ void MaterializedPipeline::fill_array(std::size_t i) {
         if (nest.array(id).name != decl.name) continue;
         const std::vector<std::uint32_t>& values = nest.index_values(id);
         if (values.empty()) break;
-        const std::size_t width = std::min<std::size_t>(decl.elem_size, 8);
-        for (std::size_t v = 0; v < values.size(); ++v) {
-          const std::uint64_t value = values[v];
-          std::memcpy(out + v * decl.elem_size, &value, width);
-        }
+        detail::fill_index(out, decl.elem_size, values);
         return;
       }
     }
   }
-  // Data array: deterministic pseudo-random contents keyed by the
-  // PIPELINE-level array position, so every run (and every execution path
-  // over this pipeline) sees identical operand values.
-  common::Rng rng(0xC45CADEull ^
-                  (std::uint64_t{i} + 1) * 0x9e3779b97f4a7c15ull);
-  std::uint64_t pos = 0;
-  while (pos < bytes) {
-    const std::uint64_t word = rng.next();
-    const std::size_t take = std::min<std::uint64_t>(8, bytes - pos);
-    std::memcpy(out + pos, &word, take);
-    pos += take;
-  }
+  // Data array: keyed by the PIPELINE-level array position, so every run
+  // (and every execution path over this pipeline) sees identical operand
+  // values.
+  detail::fill_random(out, std::uint64_t{decl.elem_size} * decl.num_elems, i);
 }
 
 void MaterializedPipeline::reset() {
@@ -107,15 +90,11 @@ void MaterializedPipeline::reset() {
 }
 
 std::uint64_t MaterializedPipeline::rw_checksum() const {
-  std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a
+  std::uint64_t hash = detail::kFnvBasis;
   for (const std::size_t i : written_) {
     const loopir::LoopSpec::ArrayDecl& decl = spec_.arrays[i];
-    const std::byte* p = shared_[i].data();
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(decl.elem_size) * decl.num_elems;
-    for (std::uint64_t b = 0; b < bytes; ++b) {
-      hash = (hash ^ static_cast<std::uint64_t>(p[b])) * 0x100000001b3ull;
-    }
+    hash = detail::fnv1a(hash, shared_[i].data(),
+                         std::uint64_t{decl.elem_size} * decl.num_elems);
   }
   return hash;
 }

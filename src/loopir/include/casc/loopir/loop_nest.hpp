@@ -113,7 +113,6 @@ class LoopNest {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] bool finalized() const noexcept { return finalized_; }
-  [[nodiscard]] std::uint64_t trip_count() const noexcept { return n_; }
   [[nodiscard]] std::uint64_t step() const noexcept { return step_; }
   /// Number of executed iterations: ceil(n / step).
   [[nodiscard]] std::uint64_t num_iterations() const noexcept;

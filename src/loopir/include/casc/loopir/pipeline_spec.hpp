@@ -96,8 +96,6 @@ struct PipelineSpec {
   /// stages that gather via it.  Because the claims are derived rather than
   /// authored, sanitized_instantiate never demotes a stage spec.
   [[nodiscard]] LoopSpec stage_spec(std::size_t k) const;
-  /// stage_spec() for every stage, in chain order.
-  [[nodiscard]] std::vector<LoopSpec> stage_specs() const;
 
   /// Renders the spec back into the text format (parse(to_text(p)) == p up to
   /// formatting).

@@ -48,13 +48,6 @@ LoopSpec PipelineSpec::stage_spec(std::size_t k) const {
   return spec;
 }
 
-std::vector<LoopSpec> PipelineSpec::stage_specs() const {
-  std::vector<LoopSpec> specs;
-  specs.reserve(stages.size());
-  for (std::size_t k = 0; k < stages.size(); ++k) specs.push_back(stage_spec(k));
-  return specs;
-}
-
 std::string PipelineSpec::to_text() const {
   std::ostringstream os;
   os << "pipeline " << name << "\n";

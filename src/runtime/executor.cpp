@@ -331,7 +331,9 @@ CascadeExecutor::WorkerOutcome CascadeExecutor::participate(unsigned id,
     ws.chunk.store(c, std::memory_order_relaxed);
     const std::uint64_t begin = c * job.iters_per_chunk;
     const std::uint64_t end = std::min(begin + job.iters_per_chunk, job.total_iters);
-    if (job.helper) {
+    // Chunk 0 has no helper phase: the token starts there, so its execution
+    // phase begins at once and no helper is ever skipped or counted for it.
+    if (job.helper && c != 0) {
       bool helper_enabled = true;
       if (fail_soft) {
         const std::uint8_t st = health.state.load(std::memory_order_relaxed);

@@ -1,5 +1,5 @@
 // Building blocks for helper phases on real hardware: forced loads (reliable
-// cache warming), prefetch hints, and span prefetchers with jump-out polling.
+// cache warming) and span prefetchers with jump-out polling.
 #pragma once
 
 #include <cstdint>
@@ -15,15 +15,6 @@ namespace casc::rt {
 /// whole purpose is the cache side effect.
 inline void force_load(const void* p) noexcept {
   (void)*static_cast<const volatile unsigned char*>(p);
-}
-
-/// Non-binding prefetch hint (may be dropped under load).
-inline void prefetch_hint(const void* p) noexcept {
-#if defined(__GNUC__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#else
-  (void)p;
-#endif
 }
 
 /// Loads one byte of every cache line covering elements [begin, end) of

@@ -47,8 +47,8 @@ std::vector<loopir::LoopNest> make_parmvr(unsigned scale = 1);
 /// read the IDENTICAL gathered field stream (same index array, same
 /// operands, different write target), and each component gathers it
 /// afresh through the chain's one staging arena.  This is the flagship
-/// pipeline bench subject (bench_rt_pipeline: one pipeline vs 15
-/// independent cascades).
+/// pipeline bench subject (bench_rt_pipeline: the pipelined cascade vs the
+/// sequential reference).
 loopir::PipelineSpec make_parmvr_pipeline(unsigned scale = 1);
 
 }  // namespace casc::wave5

@@ -1,4 +1,6 @@
 // Unit tests for the set-associative cache: geometry, LRU, states, stats.
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "casc/common/check.hpp"
@@ -197,6 +199,12 @@ struct Geometry {
   std::uint32_t line;
   std::uint32_t assoc;
 };
+
+/// Names each case after its fields ("s8192_l32_a2"): gtest prints the
+/// parameter with this, and ctest's discovered test name carries it.
+void PrintTo(const Geometry& g, std::ostream* os) {
+  *os << "s" << g.size << "_l" << g.line << "_a" << g.assoc;
+}
 
 class CacheGeometrySweep : public ::testing::TestWithParam<Geometry> {};
 

@@ -1,5 +1,7 @@
 // Tests for chunk planning, including property sweeps over the partition
 // invariants the cascade engine depends on.
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "casc/common/check.hpp"
@@ -75,6 +77,12 @@ struct PlanParams {
   std::uint64_t total;
   std::uint64_t per_chunk;
 };
+
+/// Names each case after its fields ("n100_k7"): gtest prints the parameter
+/// with this, and ctest's discovered test name carries it.
+void PrintTo(const PlanParams& p, std::ostream* os) {
+  *os << "n" << p.total << "_k" << p.per_chunk;
+}
 
 class ChunkPlanSweep : public ::testing::TestWithParam<PlanParams> {};
 

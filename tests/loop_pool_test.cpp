@@ -12,7 +12,6 @@
 #include "casc/exec/bridge.hpp"
 #include "casc/exec/loop_pool.hpp"
 #include "casc/loopir/loop_spec.hpp"
-#include "casc/loopir/pipeline_spec.hpp"
 
 namespace {
 
@@ -113,42 +112,6 @@ TEST(LoopPool, TotalCapEvictsLeastRecentlyLeasedFirst) {
     exec::LoopLease lease = pool.acquire(spec(), key_b);
     EXPECT_FALSE(lease.reused());  // B was the eviction victim
   }
-}
-
-TEST(LoopPool, PipelineLeasesCacheWholeChains) {
-  constexpr const char* kPipeline = R"(pipeline pool_chain
-array y 8 512 rw
-array a 8 512 ro
-loop one
-trip 512
-compute 2 1
-access a read
-access y write
-endloop
-loop two
-trip 512
-compute 2 1
-access a read
-access y write
-endloop
-)";
-  const loopir::PipelineSpec spec = loopir::PipelineSpec::parse(kPipeline);
-  exec::LoopPool pool;
-  const exec::MaterializedPipeline* first = nullptr;
-  {
-    exec::PipelineLease lease = pool.acquire_pipeline(spec, kPipeline);
-    ASSERT_TRUE(lease.valid());
-    EXPECT_FALSE(lease.reused());
-    first = &lease.pipeline();
-    EXPECT_EQ(lease.pipeline().num_stages(), 2u);
-  }
-  exec::PipelineLease lease = pool.acquire_pipeline(spec, kPipeline);
-  ASSERT_TRUE(lease.valid());
-  EXPECT_TRUE(lease.reused());
-  EXPECT_EQ(&lease.pipeline(), first);  // the SAME materialization came back
-  const exec::LoopPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
 }
 
 TEST(LoopPool, ReleasedLoopCarriesItsProof) {

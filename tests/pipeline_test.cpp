@@ -1,13 +1,14 @@
 // Pipelines end to end: PipelineSpec parsing (collecting rules), the staging
-// plan, and the three execution paths — sequential reference, pipelined
-// cascade (one executor, one staging arena), independent cascades (each
-// stage loop's own staging region) — which must agree bit for bit on every
-// spec, every helper mode, every worker count, every chunk geometry, and
-// every seeded chaos schedule.  Stage specs carry honest claims, so no stage
-// proof holds a certificate and the arena the plan sizes holds every
-// stage's stream.  The chain's state bookkeeping is pinned too: one
-// checksum per run, over exactly the arrays some stage writes, and a reset
-// that restores them.
+// plan, and the two execution paths — the sequential reference and the
+// pipelined cascade (one executor, one staging arena) — which must agree bit
+// for bit on every spec, every helper mode, every worker count, every chunk
+// geometry, and every seeded chaos schedule.  The reference's chain digest
+// and checksum are pinned as recorded constants, so a change both paths
+// share cannot hide behind their comparison.  Stage specs carry
+// honest claims, so no stage proof holds a certificate and the arena the
+// plan sizes holds every stage's stream.  The chain's state bookkeeping is
+// pinned too: one checksum per run, over exactly the arrays some stage
+// writes, and a reset that restores them.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -145,7 +146,7 @@ TEST(PipelineSpecParse, StageSpecsCarryHonestClaims) {
 
 // ---- the staging plan ------------------------------------------------------
 
-TEST(PipelinePlan, ProvesIdenticalGatherPairReusable) {
+TEST(PipelinePlan, GatherPairArenaHoldsOneStream) {
   const analysis::PipelinePlan plan =
       analysis::plan_pipeline(load_pipeline("pipeline_reuse.casc"));
   ASSERT_EQ(plan.stages.size(), 2u);
@@ -161,7 +162,7 @@ TEST(PipelinePlan, ProvesIdenticalGatherPairReusable) {
   EXPECT_EQ(plan.arena_bytes, plan.stages[0].staged_bytes);
 }
 
-TEST(PipelinePlan, CoversVerdictRangeOnMixedChain) {
+TEST(PipelinePlan, MixedChainArenaIsTheLargestStream) {
   const analysis::PipelinePlan plan =
       analysis::plan_pipeline(load_pipeline("pipeline_mixed.casc"));
   ASSERT_EQ(plan.stages.size(), 4u);
@@ -290,9 +291,17 @@ void expect_arrays_identical(const exec::MaterializedPipeline& got,
   }
 }
 
-// ---- execution: three paths, one digest ------------------------------------
+// ---- execution: two paths, one digest --------------------------------------
 
-void expect_three_way_identity(const loopir::PipelineSpec& spec) {
+/// A chain's recorded reference digest and checksum: the reference must
+/// keep reproducing them.
+struct Pinned {
+  std::uint64_t chain_digest;
+  std::uint64_t rw_checksum;
+};
+
+void expect_matches_reference(const loopir::PipelineSpec& spec,
+                              const Pinned& pinned) {
   exec::MaterializedPipeline pipe(spec);
   // A chain checks its state once per run: the result carries the test's
   // own FNV-1a over the written arrays, and no stage computes a checksum.
@@ -307,7 +316,8 @@ void expect_three_way_identity(const loopir::PipelineSpec& spec) {
   const exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
   ASSERT_EQ(ref.stages.size(), spec.stages.size());
   expect_state_checked_once(ref, "reference");
-  EXPECT_NE(ref.rw_checksum, test::kFnvBasis) << spec.name;  // bytes were hashed
+  EXPECT_EQ(ref.chain_digest, pinned.chain_digest) << spec.name;
+  EXPECT_EQ(ref.rw_checksum, pinned.rw_checksum) << spec.name;
 
   for (const unsigned threads : {1u, 2u, 4u}) {
     rt::ExecutorConfig cfg;
@@ -323,47 +333,42 @@ void expect_three_way_identity(const loopir::PipelineSpec& spec) {
       const exec::PipelineResult got =
           exec::run_pipeline_cascaded(pipe, executor, opt);
       expect_state_checked_once(got, "pipelined " + where);
-      EXPECT_EQ(got.chain_digest, ref.chain_digest)
-          << spec.name << " threads=" << threads
-          << " mode=" << static_cast<int>(mode);
-      EXPECT_EQ(got.rw_checksum, ref.rw_checksum)
-          << spec.name << " threads=" << threads
-          << " mode=" << static_cast<int>(mode);
+      EXPECT_EQ(got.chain_digest, ref.chain_digest) << spec.name << " " << where;
+      EXPECT_EQ(got.rw_checksum, ref.rw_checksum) << spec.name << " " << where;
       for (std::size_t k = 0; k < got.stages.size(); ++k) {
         EXPECT_EQ(got.stages[k].result.digest, ref.stages[k].result.digest)
-            << spec.name << " stage " << k;
+            << spec.name << " " << where << " stage " << k;
       }
-
-      const exec::PipelineResult ind =
-          exec::run_pipeline_independent(pipe, threads, opt);
-      expect_state_checked_once(ind, "independent " + where);
-      EXPECT_EQ(ind.chain_digest, ref.chain_digest) << spec.name;
-      EXPECT_EQ(ind.rw_checksum, ref.rw_checksum) << spec.name;
     }
   }
 }
 
-TEST(PipelineExec, ReusePairAgreesAcrossAllPaths) {
-  expect_three_way_identity(load_pipeline("pipeline_reuse.casc"));
+TEST(PipelineExec, GatherPairAgreesAcrossAllPaths) {
+  expect_matches_reference(load_pipeline("pipeline_reuse.casc"),
+                           {0xe1b9a7d4eb2bc20full, 0xe39f452c89afed11ull});
 }
 
-TEST(PipelineExec, IndexClobberFallsBackAndStaysIdentical) {
+TEST(PipelineExec, IndexClobberGathersThroughRewrittenIndices) {
   // The middle stage rewrites the index array the outer gathers route
   // through, so the last stage must gather through the rewritten indices.
-  expect_three_way_identity(load_pipeline("pipeline_index_clobber.casc"));
+  expect_matches_reference(load_pipeline("pipeline_index_clobber.casc"),
+                           {0x282ebb750a1d2c2full, 0x66926fa04d1406a5ull});
 }
 
 TEST(PipelineExec, MixedChainAgreesAcrossAllPaths) {
-  expect_three_way_identity(load_pipeline("pipeline_mixed.casc"));
+  expect_matches_reference(load_pipeline("pipeline_mixed.casc"),
+                           {0x79bbd1275cdd6c46ull, 0xe505a11a50022275ull});
 }
 
 TEST(PipelineExec, ParmvrCall12AgreesAcrossAllPaths) {
-  expect_three_way_identity(wave5::make_parmvr_pipeline(/*scale=*/64));
+  expect_matches_reference(wave5::make_parmvr_pipeline(/*scale=*/64),
+                           {0x4ef6088ed6e7c136ull, 0xb6d7951a70dcb848ull});
 }
 
 TEST(PipelineExec, ParmvrFullScaleAgreesAcrossAllPaths) {
   // The benchmarked chain: 15 stages over 14 MiB, 9 MiB of it written.
-  expect_three_way_identity(wave5::make_parmvr_pipeline(/*scale=*/1));
+  expect_matches_reference(wave5::make_parmvr_pipeline(/*scale=*/1),
+                           {0xb718d4c31f755126ull, 0x05ee039d9f6808a2ull});
 }
 
 TEST(PipelineExec, ChunkPlanPermutationsLeaveResultsStable) {

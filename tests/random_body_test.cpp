@@ -3,10 +3,12 @@
 // direct stream — element widths 1, 2, 4, 8 and 12, ro and rw arrays,
 // index-via gathers, plain reads of rw arrays, one to three writes per body
 // in any order, and now and then a false read-only claim that the sanitizer
-// demotes (and a certificate may restage).  Every spec must reproduce
-// run_reference's digest and checksum under every helper mode, at 1, 2 and
-// 4 threads, for chunks of 1 and 7 iterations, the default geometry, and
-// one chunk longer than the loop, on every SIMD tier the host supports.
+// demotes (and a certificate may restage).  run_reference must agree with
+// the test-side interpreter (test_util.hpp) on every spec, and every spec
+// must reproduce run_reference's digest and checksum under every helper
+// mode, at 1, 2 and 4 threads, for chunks of 1 and 7 iterations, the
+// default geometry, and one chunk longer than the loop, on every SIMD tier
+// the host supports.
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -21,6 +23,7 @@
 #include "casc/exec/materialize.hpp"
 #include "casc/loopir/loop_spec.hpp"
 #include "casc/rt/executor.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -113,9 +116,21 @@ class RandomBody : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RandomBody, MatchesTheReferenceEverywhere) {
   const std::string text = random_spec(GetParam());
   SCOPED_TRACE(text);
-  exec::MaterializedLoop loop(loopir::LoopSpec::parse(text));
+  const loopir::LoopSpec spec = loopir::LoopSpec::parse(text);
+  exec::MaterializedLoop loop(spec);
   const exec::ExecResult ref = exec::run_reference(loop);
   const std::uint64_t trip = loop.num_iterations();
+
+  // The reference agrees with the test-side interpreter, run over a fresh
+  // loop's arrays, before any cascaded run is compared with it.
+  exec::MaterializedLoop fresh(spec);
+  std::vector<std::byte*> data;
+  for (loopir::ArrayId id = 0; id < fresh.nest().num_arrays(); ++id) {
+    data.push_back(fresh.array_data(id));
+  }
+  const test::OracleResult want = test::interpret_nest(fresh.nest(), data);
+  EXPECT_EQ(ref.digest, want.digest);
+  EXPECT_EQ(ref.rw_checksum, want.rw_checksum);
 
   std::uint64_t staged_chunks = 0;
   for (const unsigned threads : {1u, 2u, 4u}) {

@@ -2,8 +2,11 @@
 // nests that run in milliseconds while still exercising cache effects.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "casc/loopir/loop_nest.hpp"
 #include "casc/sim/machine.hpp"
@@ -22,6 +25,58 @@ inline std::uint64_t fnv1a(std::uint64_t hash, const std::byte* p,
     hash = (hash ^ static_cast<std::uint64_t>(p[b])) * 0x100000001b3ull;
   }
   return hash;
+}
+
+/// A loop's result as the test-side interpreter computes it.
+struct OracleResult {
+  std::uint64_t digest = 0;
+  std::uint64_t rw_checksum = 0;
+};
+
+/// Test-side interpreter: the semantics in casc/exec/materialize.hpp,
+/// restated over the nest's own reference stream (refs_for_iteration) so
+/// that it shares no code with casc_exec's interpreters.  `data` holds each
+/// array's storage by array id: the arrays of a freshly materialized loop,
+/// which this rewrites.  One accumulator runs across the loop; a read mixes
+/// in the min(size, 8)-byte little-endian value, a write stores
+/// mix(acc, iteration) and carries it on.  The checksum is the FNV-1a over
+/// the writable arrays afterwards, in array order.
+inline OracleResult interpret_nest(const loopir::LoopNest& nest,
+                                   const std::vector<std::byte*>& data) {
+  auto mix = [](std::uint64_t acc, std::uint64_t x) {
+    return (acc ^ x) * 0x100000001b3ull;
+  };
+  std::uint64_t acc = 0x9e3779b97f4a7c15ull;
+  std::vector<loopir::Ref> refs;
+  for (std::uint64_t it = 0; it < nest.num_iterations(); ++it) {
+    refs.clear();
+    nest.refs_for_iteration(it, refs);
+    for (const loopir::Ref& ref : refs) {
+      loopir::ArrayId id = 0;  // the array whose extent holds the address
+      while (ref.mem.addr < nest.array_base(id) ||
+             ref.mem.addr >= nest.array_base(id) + nest.array(id).size_bytes()) {
+        ++id;
+      }
+      std::byte* const p = data[id] + (ref.mem.addr - nest.array_base(id));
+      const std::size_t width = std::min<std::uint64_t>(ref.mem.size, 8);
+      if (ref.mem.type == sim::AccessType::kWrite) {
+        const std::uint64_t w = mix(acc, it);
+        std::memcpy(p, &w, width);
+        acc = w;
+      } else {
+        std::uint64_t v = 0;
+        std::memcpy(&v, p, width);
+        acc = mix(acc, v);
+      }
+    }
+  }
+  OracleResult result{acc, kFnvBasis};
+  for (loopir::ArrayId id = 0; id < nest.num_arrays(); ++id) {
+    if (nest.array(id).read_only) continue;
+    result.rw_checksum =
+        fnv1a(result.rw_checksum, data[id], nest.array(id).size_bytes());
+  }
+  return result;
 }
 
 /// A scaled-down two-level machine: L1 = 1 KB 2-way, L2 = 16 KB 2-way,

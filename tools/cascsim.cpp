@@ -229,7 +229,8 @@ void run_threecs(const std::vector<loopir::LoopNest>& loops,
 
 /// --backend=sim with a pipeline chain: every stage runs on ONE persistent
 /// simulated machine (continue_*), so stage k's cache lines are warm for
-/// stage k+1 — versus the independent baseline, a fresh machine per stage.
+/// stage k+1 — versus a fresh machine per stage, the simulator's model of
+/// the cache state a chain carries between loops.
 int run_sim_pipeline(const loopir::PipelineSpec& spec, const cli::Args& args,
                      const sim::MachineConfig& cfg,
                      const cascade::CascadeOptions& opt) {
@@ -309,8 +310,8 @@ int run_sim_pipeline(const loopir::PipelineSpec& spec, const cli::Args& args,
 /// --backend=rt with a pipeline chain: predicted per stage on one persistent
 /// simulated machine, measured per stage on the real runtime through the
 /// chain's staging arena, and the whole chain cross-validated bit for bit
-/// against both the sequential reference and the independent-cascades
-/// baseline.  Returns false on any digest divergence.
+/// against the sequential reference.  Returns false on any digest
+/// divergence.
 bool run_rt_pipeline(const std::string& text, const sim::MachineConfig& cfg,
                      const cascade::CascadeOptions& sim_opt,
                      const exec::RtOptions& rt_opt,
@@ -320,12 +321,12 @@ bool run_rt_pipeline(const std::string& text, const sim::MachineConfig& cfg,
   exec::MaterializedPipeline pipe(spec);
   const std::size_t n = pipe.num_stages();
 
-  // Predicted: the chain on one persistent machine vs a fresh machine per
-  // stage (the same contrast the rt measurement draws).
+  // Predicted: the sequential chain and the cascaded chain, each on one
+  // persistent machine.
   cascade::CascadeSimulator seq_sim(cfg);
   cascade::CascadeSimulator chain_sim(cfg);
   std::vector<std::uint64_t> pred_seq(n), pred_chain(n);
-  std::uint64_t pred_seq_total = 0, pred_chain_total = 0, pred_indep_total = 0;
+  std::uint64_t pred_seq_total = 0, pred_chain_total = 0;
   for (std::size_t k = 0; k < n; ++k) {
     const loopir::LoopNest& nest = pipe.stage(k).nest();
     pred_seq[k] = (k == 0 ? seq_sim.run_sequential(nest, sim_opt.start_state)
@@ -334,23 +335,17 @@ bool run_rt_pipeline(const std::string& text, const sim::MachineConfig& cfg,
     pred_chain[k] = (k == 0 ? chain_sim.run_cascaded(nest, sim_opt)
                             : chain_sim.continue_cascaded(nest, sim_opt))
                         .total_cycles;
-    cascade::CascadeSimulator fresh(cfg);
-    pred_indep_total += fresh.run_cascaded(nest, sim_opt).total_cycles;
     pred_seq_total += pred_seq[k];
     pred_chain_total += pred_chain[k];
   }
 
-  // Measured: sequential reference, the pipelined cascade (one executor, one
-  // arena), and the independent-cascades baseline (fresh executor per stage).
+  // Measured: the sequential reference and the pipelined cascade (one
+  // executor, one arena).
   exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
   exec::PipelineResult chain = exec::run_pipeline_cascaded(pipe, executor, rt_opt);
-  exec::PipelineResult indep =
-      exec::run_pipeline_independent(pipe, executor.num_threads(), rt_opt);
 
   const bool match = chain.chain_digest == ref.chain_digest &&
-                     chain.rw_checksum == ref.rw_checksum &&
-                     indep.chain_digest == ref.chain_digest &&
-                     indep.rw_checksum == ref.rw_checksum;
+                     chain.rw_checksum == ref.rw_checksum;
 
   report::Table table({"Stage", "Iters", "Predicted speedup", "Measured speedup",
                        "Staged", "Digest"});
@@ -372,7 +367,7 @@ bool run_rt_pipeline(const std::string& text, const sim::MachineConfig& cfg,
          stage_match ? "match" : "MISMATCH"});
     if (st.result.preflight_refused) {
       std::cout << "note: " << st.name
-                << ": restructure refused by preflight, helper degraded: "
+                << ": restructure refused by preflight, helper dropped: "
                 << st.result.preflight_diag << "\n";
     }
   }
@@ -383,21 +378,12 @@ bool run_rt_pipeline(const std::string& text, const sim::MachineConfig& cfg,
                                                         : 0.0),
                  "", match ? "match" : "MISMATCH"});
   table.print(std::cout);
-  std::cout << "pipeline vs independent cascades: "
-            << report::fmt_double(chain.seconds > 0.0 ? indep.seconds / chain.seconds
-                                                      : 0.0)
-            << "x measured, "
-            << report::fmt_double(static_cast<double>(pred_indep_total) /
-                                  static_cast<double>(pred_chain_total))
-            << "x predicted\n";
 
   reporter.add_metric(spec.name + ".predicted_speedup",
                       static_cast<double>(pred_seq_total) /
                           static_cast<double>(pred_chain_total));
   reporter.add_metric(spec.name + ".measured_speedup",
                       chain.seconds > 0.0 ? ref.seconds / chain.seconds : 0.0);
-  reporter.add_metric(spec.name + ".pipeline_vs_independent",
-                      chain.seconds > 0.0 ? indep.seconds / chain.seconds : 0.0);
   reporter.add_metric(spec.name + ".digest_match", match ? 1.0 : 0.0);
   reporter.add_wall_ns(static_cast<std::int64_t>(chain.seconds * 1e9));
   return match;
@@ -562,7 +548,7 @@ int run_backend_rt(const cli::Args& args) {
 
     if (rt_result.preflight_refused) {
       std::cout << "note: " << name
-                << ": restructure refused by preflight, helper degraded: "
+                << ": restructure refused by preflight, helper dropped: "
                 << rt_result.preflight_diag << "\n";
     }
   }
@@ -621,7 +607,7 @@ int run_modes(const cli::Args& args, telemetry::TraceWriter* trace) {
     return 0;
   }
 
-  // Pipeline chains get the chained-vs-independent treatment; a chain is a
+  // Pipeline chains get the chained-vs-fresh-machine table; a chain is a
   // whole workload, so it bypasses the single-loop modes below.
   if (args.get("loop").rfind("file:", 0) == 0) {
     const std::string text = read_spec_text(args.get("loop").substr(5));

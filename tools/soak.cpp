@@ -15,7 +15,10 @@
 // complete with the bit-identical sequential result and NO run may abort —
 // chaos plans contain helper-site faults only, which the runtime must absorb
 // via backoff / quarantine / chunk reclamation.  Degradation is expected and
-// reported; divergence or an escaped exception fails the soak.
+// reported; divergence or an escaped exception fails the soak.  Each
+// restructure run starts from a poisoned staging region, so a chunk that
+// executes from staging its helper never committed in that run reads poison
+// instead of the previous run's identical values, and diverges.
 //
 // --daemon mode soaks the SERVICE path instead: an in-process cascd
 // (sharded SvcServer on a Unix socket) is flooded by N concurrent tenant
@@ -27,6 +30,7 @@
 // Exit code: 0 when all runs are degraded-but-correct, 1 otherwise.
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <iostream>
@@ -99,6 +103,9 @@ access y write
 )";
 
 constexpr std::uint64_t kItersPerChunk = 1024;
+
+/// Written over a loop's whole staging region before each restructure run.
+constexpr std::byte kStagingPoison{0xA5};
 
 /// Per-run seed derivation (splitmix-style) so consecutive runs draw
 /// unrelated chaos schedules from one base seed.
@@ -190,8 +197,12 @@ int run_soak(const cli::Args& args) {
       rt_opt.chaos = &plan;
       rt_opt.soft_budget_factor = 8.0;
       rt_opt.estimated_seq_seconds = want.seconds;
-      const exec::ExecResult got_rt =
-          exec::run_cascaded(gather ? gather_loop : loop, executor, rt_opt);
+      exec::MaterializedLoop& target = gather ? gather_loop : loop;
+      if (rt_opt.helper == exec::HelperMode::kRestructure) {
+        const exec::StagingRegion region = target.staging_region();
+        std::fill_n(region.data, region.bytes, kStagingPoison);
+      }
+      const exec::ExecResult got_rt = exec::run_cascaded(target, executor, rt_opt);
       if (got_rt.digest != want.digest || got_rt.rw_checksum != want.rw_checksum) {
         fail(run, "cascaded digest diverged from the sequential reference");
       }
