@@ -1,16 +1,19 @@
 // The deterministic array state a MaterializedLoop and a MaterializedPipeline
-// share: how an array starts (index values, or a keyed pseudo-random fill)
-// and how its bytes are checksummed.  A loop keys its data arrays by nest
-// array id, a pipeline by pipeline array position; everything else is one
-// implementation.  Private to casc_exec.
+// share: how an array starts (index values, or a keyed pseudo-random fill),
+// how its bytes are checksummed, and how a run's writable arrays return to
+// that start.  A loop keys its data arrays by nest array id, a pipeline by
+// pipeline array position; everything else is one implementation.  Private
+// to casc_exec.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
+#include "casc/common/aligned_alloc.hpp"
 #include "casc/common/rng.hpp"
 
 namespace casc::exec::detail {
@@ -52,5 +55,44 @@ inline void fill_random(std::byte* out, std::uint64_t bytes,
     pos += take;
   }
 }
+
+/// A private copy of some arrays' initial bytes.  The owner fills its
+/// arrays, then names each one a run can write as (live storage, declared
+/// byte count > 0); the constructor copies those bytes, and restore() copies
+/// them back.  The copy is written only by the constructor, so every
+/// restore() returns the arrays to the bytes the fill wrote.  The live
+/// storage must outlive the snapshot.
+class ArraySnapshot {
+ public:
+  struct Span {
+    std::byte* live = nullptr;
+    std::uint64_t bytes = 0;
+  };
+
+  explicit ArraySnapshot(std::vector<Span> spans) : spans_(std::move(spans)) {
+    std::uint64_t total = 0;
+    for (const Span& span : spans_) total += span.bytes;
+    if (total == 0) return;
+    copy_ = common::AlignedStorage(total);
+    std::byte* out = copy_.data();
+    for (const Span& span : spans_) {
+      std::memcpy(out, span.live, span.bytes);
+      out += span.bytes;
+    }
+  }
+
+  /// Copies every captured array's initial bytes back over its storage.
+  void restore() const noexcept {
+    const std::byte* in = copy_.data();
+    for (const Span& span : spans_) {
+      std::memcpy(span.live, in, span.bytes);
+      in += span.bytes;
+    }
+  }
+
+ private:
+  std::vector<Span> spans_;
+  common::AlignedStorage copy_;  // the spans' bytes, back to back
+};
 
 }  // namespace casc::exec::detail

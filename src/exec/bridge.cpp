@@ -447,15 +447,14 @@ PipelineResult run_pipeline_reference(MaterializedPipeline& pipe) {
   pipe.reset();
   PipelineResult out;
   std::uint64_t chain = MaterializedLoop::kAccSeed;
-  common::Stopwatch watch;
   for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
     PipelineStageResult stage;
     stage.name = pipe.spec().stages[k].name;
     stage.result = reference_no_reset(pipe.stage(k));
     chain = fold_chain(chain, stage.result.digest);
+    out.seconds += stage.result.seconds;
     out.stages.push_back(std::move(stage));
   }
-  out.seconds = watch.elapsed_seconds();
   out.chain_digest = chain;
   out.rw_checksum = pipe.rw_checksum();
   return out;
@@ -467,7 +466,6 @@ PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
   pipe.reset();
   PipelineResult out;
   std::uint64_t chain = MaterializedLoop::kAccSeed;
-  common::Stopwatch watch;
   for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
     std::byte* const region = pipe.region(k);
     PipelineStageResult stage;
@@ -476,9 +474,10 @@ PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
         pipe.stage(k), executor, opt,
         {region, region == nullptr ? 0 : pipe.plan().arena_bytes});
     chain = fold_chain(chain, stage.result.digest);
+    out.seconds += stage.result.seconds;
+    out.gate_seconds += stage.result.gate_seconds;
     out.stages.push_back(std::move(stage));
   }
-  out.seconds = watch.elapsed_seconds();
   out.chain_digest = chain;
   out.rw_checksum = pipe.rw_checksum();
   return out;

@@ -169,9 +169,17 @@ struct PipelineResult {
   /// MaterializedPipeline::rw_checksum() after the last stage; the only
   /// checksum a chain run computes.
   std::uint64_t rw_checksum = 0;
-  /// Wall time of the stage loop, from the first stage's start to the last
-  /// stage's end; excludes the chain's reset and checksum.
+  /// Sum of the stages' ExecResult::seconds: the wall time of the stage
+  /// loops themselves.  Excludes the chain's reset and checksum, each
+  /// stage's proof (see gate_seconds) and the set-up between stages, so a
+  /// reference and a cascaded run are summed the same way and the chain's
+  /// ratio lies between its slowest and fastest stage's.
   double seconds = 0.0;
+  /// Sum of the stages' ExecResult::gate_seconds: the time this run spent
+  /// proving chunk geometries.  Above 0 on a fresh chain's first restructure
+  /// run, exactly 0 once every stage's memo holds its proof (and always 0
+  /// on the reference).
+  double gate_seconds = 0.0;
   /// Always 0 (see PipelineStageResult::reused_staging).
   std::uint64_t stages_reused = 0;
   std::vector<PipelineStageResult> stages;

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -43,6 +44,10 @@
 #include "casc/loopir/loop_spec.hpp"
 
 namespace casc::exec {
+
+namespace detail {
+class ArraySnapshot;  // array_state.hpp
+}  // namespace detail
 
 /// One dynamic reference, resolved to real storage.  16 bytes; the resolved
 /// stream is the executable form of the loop.
@@ -130,6 +135,8 @@ class MaterializedLoop {
   /// interpretation semantics are unchanged — only where the bytes live.
   MaterializedLoop(const loopir::LoopSpec& spec, const StorageBinder& bind);
 
+  ~MaterializedLoop();
+
   [[nodiscard]] const loopir::LoopSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const loopir::LoopNest& nest() const noexcept { return nest_; }
   /// Arrays whose read-only claim was demoted at instantiation (non-empty
@@ -142,10 +149,14 @@ class MaterializedLoop {
     return iter_offsets_.size() - 1;
   }
 
-  /// Restores every LOOP-OWNED array to its deterministic initial contents.
-  /// Each per-loop run_* entry point calls this, so repeated runs are
-  /// independent.  Externally bound arrays are untouched: their owner (the
-  /// pipeline) decides when the chain's state restarts.
+  /// Restores every writable LOOP-OWNED array to its deterministic initial
+  /// contents by copying back the bytes the constructor's fill wrote (a copy
+  /// taken once, at construction, and never written again).  Read-only
+  /// arrays keep that fill, which no run changes: the interpreter stores
+  /// only through write references, and a nest array with a write reference
+  /// is never read-only.  Each per-loop run_* entry point calls this, so
+  /// repeated runs are independent.  Externally bound arrays are untouched:
+  /// their owner (the pipeline) decides when the chain's state restarts.
   void reset();
 
   /// The restructure proof for chunks of `iters_per_chunk` iterations (any
@@ -274,6 +285,8 @@ class MaterializedLoop {
   std::vector<ArrayBytes> storage_;   // loop-owned backing (empty when bound)
   std::vector<std::byte*> data_;      // per-array base, owned or bound
   std::vector<bool> bound_;           // array uses external storage
+  // The initial bytes of the writable loop-owned arrays (see reset()).
+  std::unique_ptr<const detail::ArraySnapshot> initial_;
   std::vector<std::uint64_t> iter_offsets_;      // num_iterations + 1
   // The staged flags and everything derived from them.  Mutable because the
   // first certifying proof — reached through const gate queries — restages

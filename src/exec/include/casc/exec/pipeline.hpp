@@ -15,8 +15,9 @@
 // diverges the chain.  The chain is one sequential composition: its state is
 // restored once before a run and checked once after it, never per stage,
 // and both touch only the arrays some stage writes — the rest are filled
-// once, at construction, and never change.  bridge.hpp's run_pipeline_*
-// entry points execute it.
+// once, at construction, and never change.  The restore copies back the
+// written arrays' construction-time bytes, the same rule a single loop's
+// reset follows.  bridge.hpp's run_pipeline_* entry points execute it.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +32,10 @@
 
 namespace casc::exec {
 
+namespace detail {
+class ArraySnapshot;  // array_state.hpp
+}  // namespace detail
+
 /// A pipeline spec with shared real backing arrays, per-stage resolved
 /// streams, and the one staging arena.
 class MaterializedPipeline {
@@ -40,6 +45,8 @@ class MaterializedPipeline {
   /// too large to materialize.
   explicit MaterializedPipeline(const loopir::PipelineSpec& spec);
 
+  ~MaterializedPipeline();
+
   [[nodiscard]] const loopir::PipelineSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const analysis::PipelinePlan& plan() const noexcept { return plan_; }
   [[nodiscard]] std::size_t num_stages() const noexcept { return stages_.size(); }
@@ -48,11 +55,12 @@ class MaterializedPipeline {
     return *stages_[k];
   }
 
-  /// Restores the chain's defined starting state: refills every shared array
-  /// some stage writes with its deterministic initial contents.  Arrays no
-  /// stage writes keep their construction-time fill, which no run changes.
-  /// Every pipeline run_* entry point calls this ONCE per run; stages never
-  /// reset shared arrays themselves.
+  /// Restores the chain's defined starting state: copies back the initial
+  /// bytes of every shared array some stage writes, from a copy taken once,
+  /// at construction, and never written again.  Arrays no stage writes keep
+  /// their construction-time fill, which no run changes.  Every pipeline
+  /// run_* entry point calls this ONCE per run; stages never reset shared
+  /// arrays themselves.
   void reset();
 
   /// FNV-1a over the bytes of every shared array some stage writes, in
@@ -74,7 +82,8 @@ class MaterializedPipeline {
   }
 
  private:
-  /// Fills pipeline array `i` with its deterministic initial contents.
+  /// Fills pipeline array `i` with its deterministic initial contents
+  /// (construction only; reset() copies the written arrays back).
   void fill_array(std::size_t i);
 
   loopir::PipelineSpec spec_;
@@ -83,6 +92,8 @@ class MaterializedPipeline {
   std::vector<std::size_t> written_;  // arrays some stage writes, in order
   std::vector<std::unique_ptr<MaterializedLoop>> stages_;
   common::AlignedStorage arena_;
+  // The initial bytes of the written_ arrays (see reset()).
+  std::unique_ptr<const detail::ArraySnapshot> initial_;
 };
 
 }  // namespace casc::exec

@@ -84,12 +84,10 @@ MaterializedLoop::MaterializedLoop(const loopir::LoopSpec& spec,
       data_[id] = storage_[id].data();
     }
   }
-  reset();
-  resolve_stream();
-}
-
-void MaterializedLoop::reset() {
-  for (loopir::ArrayId id = 0; id < nest_.num_arrays(); ++id) {
+  // Every loop-owned array starts filled; reset() restores only the ones a
+  // run can write, from a copy of the bytes written here.
+  std::vector<detail::ArraySnapshot::Span> writable;
+  for (loopir::ArrayId id = 0; id < n; ++id) {
     if (bound_[id]) continue;
     const std::vector<std::uint32_t>& index_values = nest_.index_values(id);
     if (!index_values.empty()) {
@@ -98,8 +96,17 @@ void MaterializedLoop::reset() {
     } else {
       detail::fill_random(storage_[id].data(), storage_[id].size(), id);
     }
+    if (!nest_.array(id).read_only) {
+      writable.push_back({storage_[id].data(), storage_[id].size()});
+    }
   }
+  initial_ = std::make_unique<const detail::ArraySnapshot>(std::move(writable));
+  resolve_stream();
 }
+
+MaterializedLoop::~MaterializedLoop() = default;
+
+void MaterializedLoop::reset() { initial_->restore(); }
 
 const RestructureProof& MaterializedLoop::restructure_proof(
     std::uint64_t iters_per_chunk, double* seconds) const {

@@ -11,6 +11,11 @@ namespace {
 /// every committed spec; far below anything that could take the host down.
 constexpr std::uint64_t kMaxArenaBytes = 8ull << 30;
 
+/// The declared bytes of a pipeline array (its storage may be rounded up).
+std::uint64_t decl_bytes(const loopir::LoopSpec::ArrayDecl& decl) {
+  return std::uint64_t{decl.elem_size} * decl.num_elems;
+}
+
 }  // namespace
 
 MaterializedPipeline::MaterializedPipeline(const loopir::PipelineSpec& spec)
@@ -22,8 +27,7 @@ MaterializedPipeline::MaterializedPipeline(const loopir::PipelineSpec& spec)
 
   shared_.reserve(spec_.arrays.size());
   for (const loopir::LoopSpec::ArrayDecl& decl : spec_.arrays) {
-    shared_.emplace_back(static_cast<std::size_t>(decl.elem_size) *
-                         decl.num_elems);
+    shared_.emplace_back(decl_bytes(decl));
   }
   auto bind = [this](const std::string& name,
                      std::uint64_t bytes) -> std::byte* {
@@ -48,16 +52,21 @@ MaterializedPipeline::MaterializedPipeline(const loopir::PipelineSpec& spec)
   // An array no stage writes is `ro` in every stage spec, and the
   // interpreter stores only through write references, so reset() and
   // rw_checksum() skip it.
+  std::vector<detail::ArraySnapshot::Span> written;
   for (std::size_t i = 0; i < spec_.arrays.size(); ++i) {
     fill_array(i);
     for (const loopir::PipelineSpec::Stage& stage : spec_.stages) {
       if (stage.writes(spec_.arrays[i].name)) {
         written_.push_back(i);
+        written.push_back({shared_[i].data(), decl_bytes(spec_.arrays[i])});
         break;
       }
     }
   }
+  initial_ = std::make_unique<const detail::ArraySnapshot>(std::move(written));
 }
+
+MaterializedPipeline::~MaterializedPipeline() = default;
 
 void MaterializedPipeline::fill_array(std::size_t i) {
   const loopir::LoopSpec::ArrayDecl& decl = spec_.arrays[i];
@@ -82,19 +91,15 @@ void MaterializedPipeline::fill_array(std::size_t i) {
   // Data array: keyed by the PIPELINE-level array position, so every run
   // (and every execution path over this pipeline) sees identical operand
   // values.
-  detail::fill_random(out, std::uint64_t{decl.elem_size} * decl.num_elems, i);
+  detail::fill_random(out, decl_bytes(decl), i);
 }
 
-void MaterializedPipeline::reset() {
-  for (const std::size_t i : written_) fill_array(i);
-}
+void MaterializedPipeline::reset() { initial_->restore(); }
 
 std::uint64_t MaterializedPipeline::rw_checksum() const {
   std::uint64_t hash = detail::kFnvBasis;
   for (const std::size_t i : written_) {
-    const loopir::LoopSpec::ArrayDecl& decl = spec_.arrays[i];
-    hash = detail::fnv1a(hash, shared_[i].data(),
-                         std::uint64_t{decl.elem_size} * decl.num_elems);
+    hash = detail::fnv1a(hash, shared_[i].data(), decl_bytes(spec_.arrays[i]));
   }
   return hash;
 }

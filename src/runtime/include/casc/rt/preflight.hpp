@@ -60,8 +60,15 @@ class PreflightGate {
   PreflightGate() = default;
 
   bool proven_ = false;
-  common::Diagnostic reason_{common::Severity::kError, "preflight-unproven",
-                             "no safety proof presented for this loop"};
+  // Every member is named: GCC 12 warns (-Wmissing-field-initializers) on
+  // an aggregate initializer that omits one, designated or not.
+  common::Diagnostic reason_{
+      .severity = common::Severity::kError,
+      .rule = "preflight-unproven",
+      .message = "no safety proof presented for this loop",
+      .loop = {},
+      .object = {},
+      .line = 0};
 };
 
 }  // namespace casc::rt

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -153,6 +155,67 @@ TEST(ExecBridge, ChecksumIsFnv1aOverTheWritableArrays) {
           << file << " mode=" << static_cast<int>(mode);
       EXPECT_EQ(got.rw_checksum, ref.rw_checksum)
           << file << " mode=" << static_cast<int>(mode);
+    }
+  }
+}
+
+/// Byte-compares the arrays of `got` and `want` (two materializations of one
+/// spec): the writable ones when `writable`, else the read-only ones.
+void expect_arrays_identical(const exec::MaterializedLoop& got,
+                             const exec::MaterializedLoop& want, bool writable,
+                             const std::string& where) {
+  const loopir::LoopNest& nest = got.nest();
+  for (loopir::ArrayId id = 0; id < nest.num_arrays(); ++id) {
+    if (nest.array(id).read_only == writable) continue;
+    EXPECT_EQ(std::memcmp(got.array_data(id), want.array_data(id),
+                          nest.array(id).size_bytes()),
+              0)
+        << where << " array " << nest.array(id).name;
+  }
+}
+
+TEST(ExecBridge, RunsLeaveReadOnlyArraysAndResetRestoresTheRest) {
+  // reset() copies back only the writable arrays, so no run may change a
+  // read-only one, and the copy it restores must be the construction-time
+  // fill: after every kind of run a read-only array matches a fresh loop's,
+  // and after reset() a writable one does too.  The specs include a
+  // certified restage (gather_split) and a demoted claim (unsafe_seeded).
+  for (const std::string& file : kSpecs) {
+    const loopir::LoopSpec spec = load_spec(file);
+    const exec::MaterializedLoop fresh(spec);
+    for (const unsigned threads : {2u, 4u}) {
+      exec::MaterializedLoop loop(spec);
+      rt::ExecutorConfig cfg;
+      cfg.num_threads = threads;
+      cfg.resilience.retry_backoff = std::chrono::milliseconds(0);
+      rt::CascadeExecutor executor(cfg);
+      exec::RtOptions restructure;
+      exec::RtOptions prefetch;
+      prefetch.helper = exec::HelperMode::kPrefetch;
+      const std::uint64_t ipc =
+          exec::plan_for(loop, restructure.chunk_bytes).iters_per_chunk();
+      rt::ChaosOptions chaos_opt;
+      chaos_opt.fault_rate = 0.5;
+      chaos_opt.max_stall = std::chrono::milliseconds(1);
+      const rt::ChaosPlan plan = rt::ChaosPlan::make(
+          threads, (loop.num_iterations() + ipc - 1) / ipc, ipc, chaos_opt);
+      exec::RtOptions chaos = restructure;
+      chaos.chaos = &plan;
+      const std::pair<const char*, std::function<exec::ExecResult()>> runs[] = {
+          {"reference", [&] { return exec::run_reference(loop); }},
+          {"restructure",
+           [&] { return exec::run_cascaded(loop, executor, restructure); }},
+          {"prefetch", [&] { return exec::run_cascaded(loop, executor, prefetch); }},
+          {"chaos", [&] { return exec::run_cascaded(loop, executor, chaos); }},
+      };
+      for (const auto& [name, run] : runs) {
+        const std::string where =
+            file + " threads=" + std::to_string(threads) + " " + name;
+        (void)run();
+        expect_arrays_identical(loop, fresh, /*writable=*/false, where);
+        loop.reset();
+        expect_arrays_identical(loop, fresh, /*writable=*/true, where + " reset");
+      }
     }
   }
 }

@@ -423,6 +423,49 @@ TEST(PipelineExec, SecondRunServesEveryStageProofFromTheMemo) {
   EXPECT_EQ(second.rw_checksum, ref.rw_checksum);
 }
 
+TEST(PipelineExec, ChainTimesAreTheSumsOfItsStageTimes) {
+  // A chain's seconds and gate_seconds are its stages' sums, so the proofs
+  // of a fresh chain's first restructure run never count as loop time, and
+  // the whole-chain ratio over the reference is a mediant of the stage
+  // ratios: it lies between the slowest and the fastest stage's.
+  exec::MaterializedPipeline pipe(wave5::make_parmvr_pipeline(/*scale=*/64));
+  const exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
+  rt::ExecutorConfig cfg;
+  cfg.num_threads = 2;
+  rt::CascadeExecutor executor(cfg);
+  const exec::PipelineResult first = exec::run_pipeline_cascaded(pipe, executor);
+  const exec::PipelineResult second = exec::run_pipeline_cascaded(pipe, executor);
+  for (const exec::PipelineResult* run : {&ref, &first, &second}) {
+    double seconds = 0.0;
+    double gate_seconds = 0.0;
+    for (const exec::PipelineStageResult& s : run->stages) {
+      seconds += s.result.seconds;
+      gate_seconds += s.result.gate_seconds;
+    }
+    EXPECT_DOUBLE_EQ(run->seconds, seconds);
+    EXPECT_DOUBLE_EQ(run->gate_seconds, gate_seconds);
+  }
+  EXPECT_EQ(ref.gate_seconds, 0.0);
+  EXPECT_GT(first.gate_seconds, 0.0);
+  EXPECT_EQ(second.gate_seconds, 0.0);
+
+  for (const exec::PipelineResult* run : {&first, &second}) {
+    ASSERT_EQ(run->stages.size(), ref.stages.size());
+    double slowest = 0.0;
+    double fastest = 0.0;
+    for (std::size_t k = 0; k < ref.stages.size(); ++k) {
+      ASSERT_GT(run->stages[k].result.seconds, 0.0) << run->stages[k].name;
+      const double ratio =
+          ref.stages[k].result.seconds / run->stages[k].result.seconds;
+      slowest = k == 0 ? ratio : std::min(slowest, ratio);
+      fastest = k == 0 ? ratio : std::max(fastest, ratio);
+    }
+    const double whole = ref.seconds / run->seconds;
+    EXPECT_GE(whole, slowest * (1.0 - 1e-9));
+    EXPECT_LE(whole, fastest * (1.0 + 1e-9));
+  }
+}
+
 // ---- chain state under chaos ----------------------------------------------
 
 TEST(PipelineState, ChaosFallsBackAndLeavesTheStateExact) {

@@ -457,6 +457,7 @@ int run_backend_rt(const cli::Args& args) {
                           std::to_string(chaos_seed) + ")");
 
   bool all_match = true;
+  bool ran_single_loop = false;  // the tables below have rows
   std::uint64_t loop_index = 0;
   for (const std::string& path : paths) {
     const std::string text = read_spec_text(path);
@@ -502,6 +503,7 @@ int run_backend_rt(const cli::Args& args) {
     ++loop_index;
     const exec::ExecResult rt_result = exec::run_cascaded(loop_mat, executor, rt_opt);
     rt_opt.chaos = nullptr;
+    ran_single_loop = true;
     const bool match = rt_result.digest == ref.digest &&
                        rt_result.rw_checksum == ref.rw_checksum;
     all_match = all_match && match;
@@ -558,12 +560,14 @@ int run_backend_rt(const cli::Args& args) {
                                              : telemetry::CounterSample{},
                         counters.available(), counters.unavailable_reason());
 
-  table.print(std::cout);
-  if (chaos_on) {
-    // The exit-code contract: degraded-but-correct is success.  Any chaos
-    // damage shows up here; only a digest mismatch (below) fails the run.
-    std::cout << "\n";
-    degrade_table.print(std::cout);
+  if (ran_single_loop) {
+    table.print(std::cout);
+    if (chaos_on) {
+      // The exit-code contract: degraded-but-correct is success.  Any chaos
+      // damage shows up here; only a digest mismatch (below) fails the run.
+      std::cout << "\n";
+      degrade_table.print(std::cout);
+    }
   }
   const std::string written = reporter.write_file();
   if (!written.empty()) std::cout << "bench json: " << written << "\n";
