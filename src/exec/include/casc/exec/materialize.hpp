@@ -47,6 +47,7 @@ namespace casc::exec {
 
 namespace detail {
 class ArraySnapshot;  // array_state.hpp
+class StateChecksum;  // array_state.hpp
 }  // namespace detail
 
 /// One dynamic reference, resolved to real storage.  16 bytes; the resolved
@@ -172,8 +173,12 @@ class MaterializedLoop {
   [[nodiscard]] const RestructureProof& restructure_proof(
       std::uint64_t iters_per_chunk, double* seconds = nullptr) const;
 
-  /// FNV-1a over the bytes of every writable (non-read-only) array — the
-  /// loop's observable output state.
+  /// FNV-1a over the bytes of every writable (non-read-only) array, in array
+  /// order — the loop's observable output state.  The loop remembers the
+  /// state it last hashed: a call that finds the same bytes returns that
+  /// state's hash after one byte comparison, and any other call hashes in
+  /// full, so every call returns the FNV-1a of the bytes present.  Safe for
+  /// concurrent callers while no run writes the arrays.
   [[nodiscard]] std::uint64_t rw_checksum() const;
 
   /// The loop's own staging region, holding its whole staged stream (empty
@@ -287,6 +292,8 @@ class MaterializedLoop {
   std::vector<bool> bound_;           // array uses external storage
   // The initial bytes of the writable loop-owned arrays (see reset()).
   std::unique_ptr<const detail::ArraySnapshot> initial_;
+  // The checksum over every writable array (see rw_checksum()).
+  std::unique_ptr<const detail::StateChecksum> checksum_;
   std::vector<std::uint64_t> iter_offsets_;      // num_iterations + 1
   // The staged flags and everything derived from them.  Mutable because the
   // first certifying proof — reached through const gate queries — restages

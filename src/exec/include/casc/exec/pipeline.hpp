@@ -34,6 +34,7 @@ namespace casc::exec {
 
 namespace detail {
 class ArraySnapshot;  // array_state.hpp
+class StateChecksum;  // array_state.hpp
 }  // namespace detail
 
 /// A pipeline spec with shared real backing arrays, per-stage resolved
@@ -64,7 +65,11 @@ class MaterializedPipeline {
   void reset();
 
   /// FNV-1a over the bytes of every shared array some stage writes, in
-  /// declaration order — the chain's observable output state.
+  /// declaration order — the chain's observable output state.  Served like
+  /// MaterializedLoop::rw_checksum(): a call that finds the state the chain
+  /// last hashed returns its hash after one byte comparison, any other call
+  /// hashes in full.  Safe for concurrent callers while no run writes the
+  /// arrays.
   [[nodiscard]] std::uint64_t rw_checksum() const;
 
   /// Stage k's staging region: the shared arena, or nullptr when the stage
@@ -89,11 +94,12 @@ class MaterializedPipeline {
   loopir::PipelineSpec spec_;
   analysis::PipelinePlan plan_;
   std::vector<common::AlignedStorage> shared_;  // one per pipeline array
-  std::vector<std::size_t> written_;  // arrays some stage writes, in order
   std::vector<std::unique_ptr<MaterializedLoop>> stages_;
   common::AlignedStorage arena_;
-  // The initial bytes of the written_ arrays (see reset()).
+  // The initial bytes of the arrays some stage writes (see reset()).
   std::unique_ptr<const detail::ArraySnapshot> initial_;
+  // The checksum over the same arrays (see rw_checksum()).
+  std::unique_ptr<const detail::StateChecksum> checksum_;
 };
 
 }  // namespace casc::exec

@@ -85,9 +85,14 @@ MaterializedLoop::MaterializedLoop(const loopir::LoopSpec& spec,
     }
   }
   // Every loop-owned array starts filled; reset() restores only the ones a
-  // run can write, from a copy of the bytes written here.
-  std::vector<detail::ArraySnapshot::Span> writable;
+  // run can write, from a copy of the bytes written here.  rw_checksum()
+  // hashes every writable array, owned or bound.
+  std::vector<detail::ArraySpan> owned_writable;
+  std::vector<detail::ArraySpan> writable;
   for (loopir::ArrayId id = 0; id < n; ++id) {
+    if (!nest_.array(id).read_only) {
+      writable.push_back({data_[id], nest_.array(id).size_bytes()});
+    }
     if (bound_[id]) continue;
     const std::vector<std::uint32_t>& index_values = nest_.index_values(id);
     if (!index_values.empty()) {
@@ -97,10 +102,12 @@ MaterializedLoop::MaterializedLoop(const loopir::LoopSpec& spec,
       detail::fill_random(storage_[id].data(), storage_[id].size(), id);
     }
     if (!nest_.array(id).read_only) {
-      writable.push_back({storage_[id].data(), storage_[id].size()});
+      owned_writable.push_back({storage_[id].data(), storage_[id].size()});
     }
   }
-  initial_ = std::make_unique<const detail::ArraySnapshot>(std::move(writable));
+  initial_ =
+      std::make_unique<const detail::ArraySnapshot>(std::move(owned_writable));
+  checksum_ = std::make_unique<const detail::StateChecksum>(std::move(writable));
   resolve_stream();
 }
 
@@ -278,13 +285,6 @@ StagingRegion MaterializedLoop::staging_region() {
   return {staging_.data(), staging_.size()};
 }
 
-std::uint64_t MaterializedLoop::rw_checksum() const {
-  std::uint64_t hash = detail::kFnvBasis;
-  for (loopir::ArrayId id = 0; id < nest_.num_arrays(); ++id) {
-    if (nest_.array(id).read_only) continue;
-    hash = detail::fnv1a(hash, data_[id], nest_.array(id).size_bytes());
-  }
-  return hash;
-}
+std::uint64_t MaterializedLoop::rw_checksum() const { return checksum_->value(); }
 
 }  // namespace casc::exec

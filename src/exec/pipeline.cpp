@@ -52,18 +52,18 @@ MaterializedPipeline::MaterializedPipeline(const loopir::PipelineSpec& spec)
   // An array no stage writes is `ro` in every stage spec, and the
   // interpreter stores only through write references, so reset() and
   // rw_checksum() skip it.
-  std::vector<detail::ArraySnapshot::Span> written;
+  std::vector<detail::ArraySpan> written;
   for (std::size_t i = 0; i < spec_.arrays.size(); ++i) {
     fill_array(i);
     for (const loopir::PipelineSpec::Stage& stage : spec_.stages) {
       if (stage.writes(spec_.arrays[i].name)) {
-        written_.push_back(i);
         written.push_back({shared_[i].data(), decl_bytes(spec_.arrays[i])});
         break;
       }
     }
   }
-  initial_ = std::make_unique<const detail::ArraySnapshot>(std::move(written));
+  initial_ = std::make_unique<const detail::ArraySnapshot>(written);
+  checksum_ = std::make_unique<const detail::StateChecksum>(std::move(written));
 }
 
 MaterializedPipeline::~MaterializedPipeline() = default;
@@ -97,11 +97,7 @@ void MaterializedPipeline::fill_array(std::size_t i) {
 void MaterializedPipeline::reset() { initial_->restore(); }
 
 std::uint64_t MaterializedPipeline::rw_checksum() const {
-  std::uint64_t hash = detail::kFnvBasis;
-  for (const std::size_t i : written_) {
-    hash = detail::fnv1a(hash, shared_[i].data(), decl_bytes(spec_.arrays[i]));
-  }
-  return hash;
+  return checksum_->value();
 }
 
 }  // namespace casc::exec

@@ -140,10 +140,10 @@ struct ExecutorConfig {
   /// e.g. one casc::svc shard per core partition — keeps concurrent token
   /// rings off each other's cores; empty keeps the historical
   /// worker-i-to-CPU-i behaviour under pin_threads.
-  std::vector<unsigned> cpus;
+  std::vector<unsigned> cpus{};
   /// Label for this executor in state dumps and diagnostics (e.g. a service
   /// shard id).  Empty renders as the anonymous single-executor form.
-  std::string name;
+  std::string name{};
   /// Per-run deadline; once exceeded the cascade is aborted and run() throws
   /// WatchdogExpired.  Zero (the default) disables the watchdog.
   std::chrono::milliseconds watchdog{0};
@@ -158,7 +158,7 @@ struct ExecutorConfig {
   /// pure-spin; kSpin/kPark force one behaviour for ablations.
   WaitMode wait_mode = WaitMode::kAuto;
   /// Fail-soft degradation policy (see struct Resilience above).
-  Resilience resilience;
+  Resilience resilience{};
 };
 
 /// Statistics from the most recent run() — including a failed one.

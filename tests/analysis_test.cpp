@@ -84,7 +84,7 @@ TEST(AnalysisPasses, UnusedAndNeverWrittenAdvisories) {
       parse_diags);
   ASSERT_TRUE(parse_diags.ok());
   DiagnosticList diags;
-  casc::analysis::classify_operands(spec, diags);
+  (void)casc::analysis::classify_operands(spec, diags);
   EXPECT_TRUE(diags.ok());  // advisories only
   EXPECT_TRUE(has_rule(diags, "unused-array", Severity::kWarning));
   EXPECT_TRUE(has_rule(diags, "rw-never-written", Severity::kNote));
@@ -158,7 +158,7 @@ TEST(AnalysisPasses, LoopCarriedRwDependenceIsANote) {
   DiagnosticList diags;
   const auto classes = casc::analysis::classify_operands(spec, diags);
   DiagnosticList dep_diags;
-  casc::analysis::check_dependences(spec, classes, 128, dep_diags);
+  (void)casc::analysis::check_dependences(spec, classes, 128, dep_diags);
   EXPECT_TRUE(dep_diags.ok());  // token order preserves it: note, not error
   EXPECT_TRUE(has_rule(dep_diags, "dep-loop-carried", Severity::kNote));
 }

@@ -137,11 +137,19 @@ TEST(ExecBridge, ReferenceAndOracleReproducePinnedResults) {
 }
 
 TEST(ExecBridge, ChecksumIsFnv1aOverTheWritableArrays) {
+  // rw_checksum() answers a call that finds the state it last hashed from a
+  // byte comparison, so every call must still be the FNV-1a of the bytes
+  // present: on a fresh loop, twice after each run, and after a byte at
+  // either end of the writable arrays changes and changes back.
   for (const std::string& file : kSpecs) {
     exec::MaterializedLoop loop(load_spec(file));
+    EXPECT_EQ(loop.rw_checksum(), writable_fnv(loop)) << file << " fresh";
     const exec::ExecResult ref = exec::run_reference(loop);
     EXPECT_EQ(ref.rw_checksum, writable_fnv(loop)) << file;
     EXPECT_NE(ref.rw_checksum, test::kFnvBasis) << file;  // bytes were hashed
+    for (int call = 0; call < 2; ++call) {
+      EXPECT_EQ(loop.rw_checksum(), ref.rw_checksum) << file << " reference";
+    }
     rt::ExecutorConfig cfg;
     cfg.num_threads = 2;
     rt::CascadeExecutor executor(cfg);
@@ -155,8 +163,44 @@ TEST(ExecBridge, ChecksumIsFnv1aOverTheWritableArrays) {
           << file << " mode=" << static_cast<int>(mode);
       EXPECT_EQ(got.rw_checksum, ref.rw_checksum)
           << file << " mode=" << static_cast<int>(mode);
+      for (int call = 0; call < 2; ++call) {
+        EXPECT_EQ(loop.rw_checksum(), ref.rw_checksum)
+            << file << " mode=" << static_cast<int>(mode);
+      }
+    }
+
+    const loopir::LoopNest& nest = loop.nest();
+    std::vector<loopir::ArrayId> writable;
+    for (loopir::ArrayId id = 0; id < nest.num_arrays(); ++id) {
+      if (!nest.array(id).read_only) writable.push_back(id);
+    }
+    ASSERT_FALSE(writable.empty()) << file;
+    std::byte* const first = loop.array_data(writable.front());
+    std::byte* const last = loop.array_data(writable.back()) +
+                            nest.array(writable.back()).size_bytes() - 1;
+    for (std::byte* const byte : {first, last}) {
+      const std::string where = file + (byte == first ? " first" : " last");
+      *byte = ~*byte;
+      const std::uint64_t flipped = loop.rw_checksum();
+      EXPECT_EQ(flipped, writable_fnv(loop)) << where;
+      EXPECT_NE(flipped, ref.rw_checksum) << where;
+      *byte = ~*byte;
+      EXPECT_EQ(loop.rw_checksum(), ref.rw_checksum) << where << " restored";
     }
   }
+}
+
+TEST(ExecBridge, ConcurrentChecksumCallsAreExact) {
+  // rw_checksum() is const, so callers may share a loop across threads; its
+  // memo's compare-and-replace must stay whole under contention.  On a fresh
+  // loop the first caller records the state while the rest wait for it;
+  // after a run every call compares.
+  exec::MaterializedLoop loop(load_spec("spmv_small.casc"));
+  const auto checksum = [&loop] { return loop.rw_checksum(); };
+  EXPECT_EQ(test::count_mismatched_calls(4, 200, writable_fnv(loop), checksum),
+            0u);
+  const std::uint64_t ref = exec::run_reference(loop).rw_checksum;
+  EXPECT_EQ(test::count_mismatched_calls(4, 200, ref, checksum), 0u);
 }
 
 /// Byte-compares the arrays of `got` and `want` (two materializations of one
@@ -670,7 +714,9 @@ TEST(ExecBridgeChaos, AnyChaosScheduleMatchesReferenceBitForBit) {
           EXPECT_EQ(got.rw_checksum, ref.rw_checksum)
               << file << " threads=" << threads << " mode=" << static_cast<int>(mode)
               << " seed=" << seed;
-          if (got.helper_faults > 0) EXPECT_TRUE(got.degraded);
+          if (got.helper_faults > 0) {
+            EXPECT_TRUE(got.degraded);
+          }
         }
       }
     }

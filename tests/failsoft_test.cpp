@@ -197,7 +197,9 @@ TEST(ExecContext, ReclaimedAndDistrustedChunksAreFlagged) {
   // Every reclaimed chunk also distrusts whatever staging its failed owner
   // may have committed.
   for (std::uint64_t c = 0; c < kChunks; ++c) {
-    if (reclaimed[c] != 0) EXPECT_NE(distrusted[c], 0) << "chunk " << c;
+    if (reclaimed[c] != 0) {
+      EXPECT_NE(distrusted[c], 0) << "chunk " << c;
+    }
   }
 }
 

@@ -278,8 +278,12 @@ TEST(LoopSpec, CollectingParseRecoversAndReportsEveryProblem) {
             rules.end());
   // Diagnostics carry the source line of the offending directive.
   for (const auto& d : diags.items()) {
-    if (d.rule == "duplicate-array") EXPECT_EQ(d.line, 4);
-    if (d.rule == "undeclared-array") EXPECT_EQ(d.line, 5);
+    if (d.rule == "duplicate-array") {
+      EXPECT_EQ(d.line, 4);
+    }
+    if (d.rule == "undeclared-array") {
+      EXPECT_EQ(d.line, 5);
+    }
   }
 }
 

@@ -8,7 +8,8 @@
 // honest claims, so no stage proof holds a certificate and the arena the
 // plan sizes holds every stage's stream.  The chain's state bookkeeping is
 // pinned too: one checksum per run, over exactly the arrays some stage
-// writes, and a reset that restores them.
+// writes, that follows a change to any of their bytes, and a reset that
+// restores them.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -256,6 +258,11 @@ const std::byte* shared_bytes(const exec::MaterializedPipeline& pipe,
     }
   }
   return nullptr;
+}
+
+std::byte* shared_bytes(exec::MaterializedPipeline& pipe,
+                        const loopir::LoopSpec::ArrayDecl& decl) {
+  return const_cast<std::byte*>(shared_bytes(std::as_const(pipe), decl));
 }
 
 std::uint64_t decl_bytes(const loopir::LoopSpec::ArrayDecl& decl) {
@@ -512,9 +519,43 @@ TEST(PipelineState, ChaosFallsBackAndLeavesTheStateExact) {
         expect_arrays_identical(pipe, fresh, /*written=*/true, where + " reset");
       }
     }
+
+    // The chain's checksum answers a call that finds the state it last
+    // hashed from a byte comparison.  Flip the first byte of the first
+    // written array, then the last byte of the last one: each time the
+    // checksum must follow the change, and return with the original byte.
+    (void)exec::run_pipeline_reference(pipe);
+    std::vector<const loopir::LoopSpec::ArrayDecl*> written;
+    for (const loopir::LoopSpec::ArrayDecl& decl : spec.arrays) {
+      if (written_by_some_stage(spec, decl.name)) written.push_back(&decl);
+    }
+    ASSERT_FALSE(written.empty()) << spec.name;
+    std::byte* const first = shared_bytes(pipe, *written.front());
+    std::byte* const last = shared_bytes(pipe, *written.back()) +
+                            decl_bytes(*written.back()) - 1;
+    for (std::byte* const byte : {first, last}) {
+      const std::string where = spec.name + (byte == first ? " first" : " last");
+      *byte = ~*byte;
+      const std::uint64_t flipped = pipe.rw_checksum();
+      EXPECT_EQ(flipped, written_fnv(pipe)) << where;
+      EXPECT_NE(flipped, ref.rw_checksum) << where;
+      *byte = ~*byte;
+      EXPECT_EQ(pipe.rw_checksum(), ref.rw_checksum) << where << " restored";
+    }
   }
   // The schedules did degrade stages.
   EXPECT_GT(degraded_stages, 0u);
+}
+
+TEST(PipelineState, ConcurrentChecksumCallsAreExact) {
+  // As for a single loop: on a fresh chain the first caller records the
+  // state while the rest wait for it; after a run every call compares.
+  exec::MaterializedPipeline pipe(wave5::make_parmvr_pipeline(/*scale=*/64));
+  const auto checksum = [&pipe] { return pipe.rw_checksum(); };
+  EXPECT_EQ(test::count_mismatched_calls(4, 200, written_fnv(pipe), checksum),
+            0u);
+  const std::uint64_t ref = exec::run_pipeline_reference(pipe).rw_checksum;
+  EXPECT_EQ(test::count_mismatched_calls(4, 200, ref, checksum), 0u);
 }
 
 }  // namespace

@@ -83,7 +83,8 @@ TEST_P(ExecutorThreads, ExactlyOneExecutionPhaseAtATime) {
   std::atomic<bool> violated{false};
   ex.run(2000, 50, [&](std::uint64_t, std::uint64_t) {
     if (in_exec.fetch_add(1) != 0) violated = true;
-    for (volatile int spin = 0; spin < 200; spin = spin + 1) {
+    for (volatile int spin = 0; spin < 200;) {
+      spin = spin + 1;
     }
     in_exec.fetch_sub(1);
   });

@@ -501,8 +501,12 @@ TEST(SvcServer, LastLiveShardNeverQuarantines) {
   ASSERT_TRUE(client.send_stat());
   const svc::Reply stat = client.read_reply();
   for (const auto& [key, value] : stat.counters) {
-    if (key == "shard.0.quarantined") EXPECT_EQ(value, 0u);
-    if (key == "svc.live_shards") EXPECT_EQ(value, 1u);
+    if (key == "shard.0.quarantined") {
+      EXPECT_EQ(value, 0u);
+    }
+    if (key == "svc.live_shards") {
+      EXPECT_EQ(value, 1u);
+    }
   }
   server.stop();
 }

@@ -3,9 +3,11 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "casc/loopir/loop_nest.hpp"
@@ -25,6 +27,25 @@ inline std::uint64_t fnv1a(std::uint64_t hash, const std::byte* p,
     hash = (hash ^ static_cast<std::uint64_t>(p[b])) * 0x100000001b3ull;
   }
   return hash;
+}
+
+/// Calls `fn` `calls` times on each of `threads` threads at once and counts
+/// the calls that returned something other than `want`.
+template <typename Fn>
+std::uint64_t count_mismatched_calls(unsigned threads, unsigned calls,
+                                     std::uint64_t want, const Fn& fn) {
+  std::atomic<std::uint64_t> mismatched{0};
+  {
+    std::vector<std::jthread> pool;  // joined when the block ends
+    for (unsigned t = 0; t < threads; ++t) {
+      pool.emplace_back([&] {
+        for (unsigned i = 0; i < calls; ++i) {
+          if (fn() != want) mismatched.fetch_add(1);
+        }
+      });
+    }
+  }
+  return mismatched.load();
 }
 
 /// A loop's result as the test-side interpreter computes it.
