@@ -5,7 +5,9 @@
 //
 // Restructure proofs are memoized on the stage loops, so one untimed pass
 // proves every stage before timing starts: otherwise the first timed thread
-// count would pay every proof and the others would ride the memo.
+// count would pay every proof and the others would ride the memo.  The pass
+// runs on the widest executor the bench times, which proves the stages side
+// by side on its workers.
 //
 // The deterministic metric is a gate, not a measurement: digest_mismatch
 // (the chain must reproduce the sequential reference bit for bit) baselines
@@ -90,7 +92,7 @@ int main() {
 
     {
       rt::ExecutorConfig cfg;
-      cfg.num_threads = 1;
+      cfg.num_threads = 4;
       rt::CascadeExecutor executor(cfg);
       (void)exec::run_pipeline_cascaded(pipe, executor, opt);
     }
@@ -111,7 +113,7 @@ int main() {
 
       const double vs_reference =
           chain.seconds > 0.0 ? ref.seconds / chain.seconds : 0.0;
-      const std::string key = "t" + std::to_string(threads);
+      const std::string key = std::string("t").append(std::to_string(threads));
       rep.add_metric(key + ".pipeline_seconds", chain.seconds);
       rep.add_metric(key + ".pipeline_vs_reference", vs_reference);
       rep.add_metric(key + ".digest_mismatch", static_cast<double>(mismatches));

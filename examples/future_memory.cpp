@@ -33,7 +33,7 @@ int main() {
     opt.time_model = cascade::HelperTimeModel::kUnbounded;
     opt.chunk_bytes = 32 * 1024;
     opt.start_state = cascade::StartState::kCold;
-    table.add_row({"x" + report::fmt_double(memory_scale, 0),
+    table.add_row({std::string("x").append(report::fmt_double(memory_scale, 0)),
                    std::to_string(cfg.memory_latency),
                    report::fmt_double(sim.speedup(dense, opt)),
                    report::fmt_double(sim.speedup(sparse, opt))});

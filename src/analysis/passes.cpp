@@ -52,7 +52,11 @@ void affine_range(const LoopSpec::AccessDecl& acc, std::uint64_t iters,
 }
 
 std::string iter_range_str(std::int64_t lo, std::int64_t hi) {
-  return "[" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  return std::string("[")
+      .append(std::to_string(lo))
+      .append(", ")
+      .append(std::to_string(hi))
+      .append("]");
 }
 
 /// One read or write site.  Plain accesses are one site; a commutative

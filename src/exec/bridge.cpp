@@ -260,6 +260,18 @@ std::optional<ReductionOperand> find_reduction_operand(
 
 namespace {
 
+/// The chunk geometry a cascaded run of `loop` executes: the explicit
+/// override, else the plan for the byte budget.  A restructure proof is
+/// taken at exactly this geometry: a certificate's ring bound is a chunk
+/// distance, so proving another one could admit a ring the executed chunks
+/// race on.
+std::uint64_t executed_iters_per_chunk(const MaterializedLoop& loop,
+                                       const RtOptions& opt) {
+  return opt.iters_per_chunk != 0
+             ? opt.iters_per_chunk
+             : plan_for(loop, opt.chunk_bytes).iters_per_chunk();
+}
+
 /// Sequential interpretation against the arrays' CURRENT contents — the
 /// pipeline paths reset and checksum at chain level, so the per-loop entry
 /// point's reset and checksum are split out.
@@ -295,8 +307,7 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
                              rt::CascadeExecutor& executor,
                              const RtOptions& opt, StagingRegion arena = {}) {
   const std::uint64_t total = loop.num_iterations();
-  std::uint64_t ipc = opt.iters_per_chunk;
-  if (ipc == 0) ipc = plan_for(loop, opt.chunk_bytes).iters_per_chunk();
+  const std::uint64_t ipc = executed_iters_per_chunk(loop, opt);
   CASC_CHECK(ipc > 0, "iters_per_chunk must be positive");
   const std::uint64_t num_chunks = total == 0 ? 0 : (total + ipc - 1) / ipc;
 
@@ -464,6 +475,17 @@ PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
                                      rt::CascadeExecutor& executor,
                                      const RtOptions& opt) {
   pipe.reset();
+  // The stages' proofs are independent of each other and of the arrays, so
+  // a restructure run proves every stage first, as tasks on the executor's
+  // workers, and each stage run below answers from its memo.
+  std::vector<double> proof_seconds(pipe.num_stages(), 0.0);
+  if (opt.helper == HelperMode::kRestructure) {
+    executor.run_tasks(pipe.num_stages(), [&](std::uint64_t k) {
+      const MaterializedLoop& stage = pipe.stage(k);
+      (void)stage.restructure_proof(executed_iters_per_chunk(stage, opt),
+                                    &proof_seconds[k]);
+    });
+  }
   PipelineResult out;
   std::uint64_t chain = MaterializedLoop::kAccSeed;
   for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
@@ -473,6 +495,7 @@ PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
     stage.result = cascaded_no_reset(
         pipe.stage(k), executor, opt,
         {region, region == nullptr ? 0 : pipe.plan().arena_bytes});
+    stage.result.gate_seconds += proof_seconds[k];
     chain = fold_chain(chain, stage.result.digest);
     out.seconds += stage.result.seconds;
     out.gate_seconds += stage.result.gate_seconds;

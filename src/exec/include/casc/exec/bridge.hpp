@@ -81,6 +81,8 @@ struct ExecResult {
   double seconds = 0.0;           ///< wall time of the loop itself
   /// Wall time this call spent proving its chunk geometry before the loop
   /// (restructure runs only); exactly 0 when the loop's memo held the proof.
+  /// In a chain's stage result, the wall time of that stage's own proof in
+  /// the chain's proving pass (see PipelineResult::gate_seconds).
   double gate_seconds = 0.0;
   std::uint64_t total_iters = 0;
   std::uint64_t num_chunks = 1;
@@ -175,10 +177,13 @@ struct PipelineResult {
   /// reference and a cascaded run are summed the same way and the chain's
   /// ratio lies between its slowest and fastest stage's.
   double seconds = 0.0;
-  /// Sum of the stages' ExecResult::gate_seconds: the time this run spent
-  /// proving chunk geometries.  Above 0 on a fresh chain's first restructure
-  /// run, exactly 0 once every stage's memo holds its proof (and always 0
-  /// on the reference).
+  /// Sum of the stages' ExecResult::gate_seconds: the time this run's
+  /// stages spent proving chunk geometries.  A restructure run proves every
+  /// stage before stage 0 runs, as tasks on the executor's workers
+  /// (CascadeExecutor::run_tasks), so the proofs overlap and this sum can
+  /// exceed the wall time of the proving pass.  Above 0 on a fresh chain's
+  /// first restructure run, exactly 0 once every stage's memo holds its
+  /// proof (and always 0 on the reference).
   double gate_seconds = 0.0;
   /// Always 0 (see PipelineStageResult::reused_staging).
   std::uint64_t stages_reused = 0;
@@ -202,7 +207,9 @@ PipelineResult run_pipeline_reference(MaterializedPipeline& pipe);
 /// ring never tears down between loops — and every restructured stage
 /// gathers into the chain's one staging arena; chunks whose staging never
 /// committed fall back to direct array loads.  Digests are unconditionally
-/// bit-identical to the reference.
+/// bit-identical to the reference.  A restructure run first proves every
+/// stage at the geometry it executes, spread over the executor's workers
+/// with run_tasks(); on a warm chain that pass is one memo hit per stage.
 PipelineResult run_pipeline_cascaded(MaterializedPipeline& pipe,
                                      rt::CascadeExecutor& executor,
                                      const RtOptions& opt = {});

@@ -26,6 +26,12 @@ void try_pin_to_cpu(unsigned cpu) {
 #endif
 }
 
+/// Holds an executor's re-entrancy flag for one run() or run_tasks() call.
+struct ActiveGuard {
+  std::atomic<bool>& flag;
+  ~ActiveGuard() { flag.store(false, std::memory_order_release); }
+};
+
 }  // namespace
 
 CascadeExecutor::CascadeExecutor(ExecutorConfig config) {
@@ -87,6 +93,17 @@ void CascadeExecutor::worker_main(unsigned id) {
     }
     done_cv_.notify_one();
   }
+}
+
+void CascadeExecutor::publish(const Job& job) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    job_ = job;
+    workers_done_ = 0;
+    pooled_outcome_ = WorkerOutcome{};
+    ++epoch_;
+  }
+  cv_.notify_all();
 }
 
 CascadeStateDump CascadeExecutor::snapshot() const {
@@ -300,6 +317,20 @@ CascadeExecutor::Turn CascadeExecutor::await_or_rescue(unsigned id, std::uint64_
 CascadeExecutor::WorkerOutcome CascadeExecutor::participate(unsigned id,
                                                             const Job& job) {
   WorkerOutcome outcome;
+  if (job.task) {
+    // A task job: take the next unclaimed index until none is left or some
+    // task has thrown.
+    while (!first_error_->failed()) {
+      const std::uint64_t i = next_task_.fetch_add(1);
+      if (i >= job.total_iters) break;
+      try {
+        job.task(i);
+      } catch (...) {
+        first_error_->capture(i);
+      }
+    }
+    return outcome;
+  }
   const unsigned P = num_threads_;
   WorkerState& ws = worker_state_[id].value;
   WorkerHealth& health = health_[id].value;
@@ -453,12 +484,9 @@ void CascadeExecutor::run(std::uint64_t total_iters, std::uint64_t iters_per_chu
   CASC_CHECK(static_cast<bool>(exec), "run() requires an execution function");
   CASC_CHECK(iters_per_chunk > 0, "iters_per_chunk must be positive");
   CASC_CHECK(!active_.exchange(true, std::memory_order_acq_rel),
-             "run() is not reentrant: a cascade is already in flight on this "
-             "executor (nested or concurrent run() would deadlock)");
-  struct ActiveGuard {
-    std::atomic<bool>& flag;
-    ~ActiveGuard() { flag.store(false, std::memory_order_release); }
-  } guard{active_};
+             "run() is not reentrant: a cascade or task job is already in "
+             "flight on this executor (nested or concurrent calls would deadlock)");
+  const ActiveGuard guard{active_};
 
   if (total_iters == 0) {
     stats_ = RunStats{};
@@ -536,15 +564,8 @@ void CascadeExecutor::run(std::uint64_t total_iters, std::uint64_t iters_per_chu
     slot.value.iters_completed.store(0, std::memory_order_relaxed);
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_ = job;
-    workers_done_ = 0;
-    pooled_outcome_ = WorkerOutcome{};
-    ++epoch_;
-  }
+  publish(job);
   note(0, telemetry::EventKind::kRunBegin, job.num_chunks);
-  cv_.notify_all();
 
   // The calling thread is worker 0; it executes chunk 0 without waiting.
   const WorkerOutcome mine = participate(0, job);
@@ -608,6 +629,28 @@ void CascadeExecutor::run(std::uint64_t total_iters, std::uint64_t iters_per_chu
   }
   CASC_CHECK(token_.current() == job.num_chunks,
              "cascade finished with an unexecuted chunk");
+}
+
+void CascadeExecutor::run_tasks(std::uint64_t n, TaskRef task) {
+  CASC_CHECK(static_cast<bool>(task), "run_tasks() requires a task");
+  CASC_CHECK(!active_.exchange(true, std::memory_order_acq_rel),
+             "run_tasks() is not reentrant: a cascade or task job is already in "
+             "flight on this executor (nested or concurrent calls would deadlock)");
+  const ActiveGuard guard{active_};
+  if (n == 0) return;
+
+  Job job;
+  job.total_iters = n;
+  job.task = task;
+  first_error_->reset();
+  next_task_.store(0);
+  publish(job);
+  (void)participate(0, job);
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [&] { return workers_done_ == num_threads_ - 1; });
+  }
+  if (first_error_->failed()) first_error_->rethrow();
 }
 
 void CascadeExecutor::run(std::uint64_t total_iters, std::uint64_t iters_per_chunk,

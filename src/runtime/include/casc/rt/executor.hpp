@@ -9,6 +9,13 @@
 // sequential semantics are preserved while the other P-1 workers optimize
 // their memory state.
 //
+// The same pool also runs plain fork-join work: run_tasks(n, task) calls
+// task(i) once for every i < n, handing the indices out from one shared
+// counter to whichever worker is free, the caller included.  It has no
+// token, helper, watchdog or fail-soft path, and leaves last_run_stats()
+// describing the last cascade.  The exec bridge uses it to prove a chain's
+// stages side by side before the chain runs.
+//
 // Failure semantics (full fail-stop -> fail-soft matrix in docs/RUNTIME.md):
 //   * Execution-phase faults are fail-stop: an exception escaping an ExecFn
 //     is a fault of the main line of control.  It poisons the token; every
@@ -76,6 +83,9 @@ using HelperFn =
 /// call, zero allocations (see function_ref.hpp).
 using ExecRef = FunctionRef<void(std::uint64_t, std::uint64_t)>;
 using HelperRef = FunctionRef<bool(std::uint64_t, std::uint64_t, const TokenWatch&)>;
+
+/// One independent task of a run_tasks() job, called with its index.
+using TaskRef = FunctionRef<void(std::uint64_t)>;
 
 /// How workers wait for the token (see token.hpp for the tier mechanics).
 enum class WaitMode : std::uint8_t {
@@ -211,9 +221,9 @@ class WatchdogExpired : public std::runtime_error {
   CascadeStateDump dump_;
 };
 
-/// The runtime.  Thread-safe for sequential use (one run() at a time from the
-/// owning thread); not reentrant — a nested or concurrent run() fails loudly
-/// with a CheckFailure instead of deadlocking.
+/// The runtime.  Thread-safe for sequential use (one run() or run_tasks() at
+/// a time from the owning thread); not reentrant — a nested or concurrent
+/// call of either fails loudly with a CheckFailure instead of deadlocking.
 class CascadeExecutor {
  public:
   explicit CascadeExecutor(ExecutorConfig config = {});
@@ -245,6 +255,17 @@ class CascadeExecutor {
   /// refusal at the caller's risk.
   void run(std::uint64_t total_iters, std::uint64_t iters_per_chunk, ExecRef exec,
            HelperRef helper, const PreflightGate& gate);
+
+  /// Fork-join: calls `task(i)` exactly once for every i < n, on the pool's
+  /// own (possibly pinned) workers and the calling thread, each worker taking
+  /// the next unclaimed index until none is left.  With one worker the
+  /// caller runs the tasks in index order.  The first exception a task
+  /// throws stops the hand-out (tasks already running finish) and is
+  /// rethrown here once every worker has quiesced.  Shares run()'s
+  /// re-entrancy guard, returns at once for n == 0, and leaves
+  /// last_run_stats() alone; the watchdog and the fail-soft machinery do not
+  /// apply.  `task` is borrowed, as in run().
+  void run_tasks(std::uint64_t n, TaskRef task);
 
   /// Number of workers (including the calling thread).
   [[nodiscard]] unsigned num_threads() const noexcept { return num_threads_; }
@@ -279,11 +300,12 @@ class CascadeExecutor {
 
  private:
   struct Job {
-    std::uint64_t total_iters = 0;
+    std::uint64_t total_iters = 0;  ///< a task job's task count
     std::uint64_t iters_per_chunk = 0;
     std::uint64_t num_chunks = 0;
     ExecRef exec;
     HelperRef helper;
+    TaskRef task;  ///< set for a run_tasks() job, which reads only total_iters
   };
 
   /// Per-worker observability slot, written with relaxed stores on the hot
@@ -295,8 +317,10 @@ class CascadeExecutor {
     std::atomic<std::uint64_t> iters_completed{0};
   };
 
-  /// Worker body for ids 1..P-1 (id 0 is the caller inside run()).
+  /// Worker body for ids 1..P-1 (id 0 is the caller of run() or run_tasks()).
   void worker_main(unsigned id);
+  /// Hands `job` to the pool and wakes it.
+  void publish(const Job& job);
   /// Runs worker `id`'s share of the current job; returns its stats.
   struct WorkerOutcome {
     std::uint64_t helpers_completed = 0;
@@ -382,10 +406,12 @@ class CascadeExecutor {
   Token token_;
   RunStats stats_;
 
-  // Re-entrancy guard: set for the whole duration of run().
+  // Re-entrancy guard: set for the whole duration of run() or run_tasks().
   std::atomic<bool> active_{false};
+  // A task job's next unclaimed index.
+  std::atomic<std::uint64_t> next_task_{0};
 
-  // Failure state, reset at the start of each run.
+  // Failure state, reset at the start of each run (and each task job).
   common::CacheAligned<common::FirstError> first_error_;
   std::atomic<bool> watchdog_fired_{false};
   CascadeStateDump watchdog_dump_;  // written by the fire_watchdog() winner

@@ -38,7 +38,8 @@ double median_of(std::vector<double> xs) {
 BenchReporter::BenchReporter(std::string name) : name_(std::move(name)) {}
 
 void BenchReporter::set_param(const std::string& key, const std::string& value) {
-  upsert(params_, key, std::string("\"" + JsonWriter::escape(value) + "\""));
+  upsert(params_, key,
+         std::string("\"").append(JsonWriter::escape(value)).append("\""));
 }
 
 void BenchReporter::set_param(const std::string& key, std::uint64_t value) {

@@ -103,7 +103,7 @@ TEST(LoopNestLayout, StaggeredBasesDifferModuloWaySizes) {
   LoopNest nest("stag");
   std::vector<ArrayId> ids;
   for (int i = 0; i < 4; ++i) {
-    ids.push_back(nest.add_array({"A" + std::to_string(i), 8, 1024, true}));
+    ids.push_back(nest.add_array({std::string("A").append(std::to_string(i)), 8, 1024, true}));
     nest.add_access({ids.back(), false, 1, 0, {}});
   }
   nest.set_trip(1024);
@@ -118,7 +118,8 @@ TEST(LoopNestLayout, ArraysNeverOverlap) {
   LoopNest nest("big");
   std::vector<ArrayId> ids;
   for (int i = 0; i < 5; ++i) {
-    ids.push_back(nest.add_array({"A" + std::to_string(i), 8, 300000, i != 0}));
+    ids.push_back(
+        nest.add_array({std::string("A").append(std::to_string(i)), 8, 300000, i != 0}));
   }
   nest.add_access({ids[0], true, 1, 0, {}});
   nest.add_access({ids[1], false, 1, 0, {}});

@@ -2,8 +2,9 @@
 // shard in the same process, so nothing in the runtime — token rings, futex
 // parking, state-dump registry, telemetry — may be process-global mutable
 // state.  These tests run >= 4 executors concurrently (with and without
-// chaos, pinned and unpinned, across construction/destruction churn) and
-// require every cascade to stay bit-identical to the sequential reference.
+// chaos, pinned and unpinned, across construction/destruction churn, and
+// interleaving fork-join task jobs with cascades) and require every cascade
+// to stay bit-identical to the sequential reference.
 // The TSan CI job runs this binary to catch any shared-static race.
 #include <atomic>
 #include <cstdint>
@@ -146,6 +147,38 @@ TEST(MultiExecutor, ConstructionChurnWhileOthersRun) {
   churner.join();
   EXPECT_EQ(steady_failures, 0u);
   EXPECT_EQ(churn_failures.load(), 0u);
+}
+
+TEST(MultiExecutor, TaskJobsAndCascadesInterleave) {
+  // Each ring alternates a fork-join task job with a cascade on the same
+  // pool: every task index runs once, and every cascade stays exact.
+  const auto [digest, rw] = reference();
+  std::vector<std::uint64_t> failures(kExecutors, 0);
+  std::vector<std::thread> threads;
+  for (unsigned id = 0; id < kExecutors; ++id) {
+    threads.emplace_back([&, id] {
+      rt::ExecutorConfig cfg;
+      cfg.num_threads = kThreadsEach;
+      rt::CascadeExecutor executor(cfg);
+      exec::MaterializedLoop loop(loopir::LoopSpec::parse(kSpec));
+      exec::RtOptions opt;
+      opt.iters_per_chunk = 512;
+      for (unsigned r = 0; r < 12; ++r) {
+        std::vector<std::atomic<unsigned>> hits(64 + id);
+        executor.run_tasks(hits.size(),
+                           [&](std::uint64_t i) { hits[i].fetch_add(1); });
+        for (const std::atomic<unsigned>& h : hits) {
+          if (h.load() != 1) ++failures[id];
+        }
+        const exec::ExecResult got = exec::run_cascaded(loop, executor, opt);
+        if (got.digest != digest || got.rw_checksum != rw) ++failures[id];
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (unsigned id = 0; id < kExecutors; ++id) {
+    EXPECT_EQ(failures[id], 0u) << "executor " << id;
+  }
 }
 
 TEST(MultiExecutor, NamedSnapshotsIdentifyTheirRing) {

@@ -430,6 +430,48 @@ TEST(PipelineExec, SecondRunServesEveryStageProofFromTheMemo) {
   EXPECT_EQ(second.rw_checksum, ref.rw_checksum);
 }
 
+TEST(PipelineExec, RestructureRunProvesEachStageAtTheGeometryItExecutes) {
+  // A restructure run proves every stage before stage 0 runs, spread over
+  // the executor's workers.  With an explicit iters_per_chunk that no stage
+  // plans from the byte budget, the proofs must land on that geometry, not
+  // on the planned one: proving a geometry other than the executed one
+  // could admit a ring the executed chunks race on.
+  constexpr std::uint64_t kIpc = 37;
+  for (const unsigned threads : {4u, 1u}) {
+    exec::MaterializedPipeline pipe(wave5::make_parmvr_pipeline(/*scale=*/64));
+    const exec::PipelineResult ref = exec::run_pipeline_reference(pipe);
+    exec::RtOptions opt;
+    opt.helper = exec::HelperMode::kRestructure;
+    opt.iters_per_chunk = kIpc;
+    for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
+      const exec::MaterializedLoop& stage = pipe.stage(k);
+      ASSERT_GT(stage.num_iterations(), kIpc) << "stage " << k;
+      ASSERT_NE(exec::plan_for(stage, opt.chunk_bytes).iters_per_chunk(), kIpc)
+          << "stage " << k;
+    }
+    rt::ExecutorConfig cfg;
+    cfg.num_threads = threads;
+    rt::CascadeExecutor executor(cfg);
+    const exec::PipelineResult first = exec::run_pipeline_cascaded(pipe, executor, opt);
+    const std::string where = "threads=" + std::to_string(threads);
+    EXPECT_EQ(first.chain_digest, ref.chain_digest) << where;
+    EXPECT_EQ(first.rw_checksum, ref.rw_checksum) << where;
+    for (const exec::PipelineStageResult& s : first.stages) {
+      EXPECT_GT(s.result.gate_seconds, 0.0) << where << " " << s.name;
+    }
+    for (std::size_t k = 0; k < pipe.num_stages(); ++k) {
+      const exec::MaterializedLoop& stage = pipe.stage(k);
+      double executed = -1.0;
+      (void)stage.restructure_proof(kIpc, &executed);
+      EXPECT_EQ(executed, 0.0) << where << " stage " << k << " executed geometry";
+      double planned = -1.0;
+      (void)stage.restructure_proof(
+          exec::plan_for(stage, opt.chunk_bytes).iters_per_chunk(), &planned);
+      EXPECT_GT(planned, 0.0) << where << " stage " << k << " planned geometry";
+    }
+  }
+}
+
 TEST(PipelineExec, ChainTimesAreTheSumsOfItsStageTimes) {
   // A chain's seconds and gate_seconds are its stages' sums, so the proofs
   // of a fresh chain's first restructure run never count as loop time, and

@@ -39,7 +39,7 @@ LoopNest random_nest(std::uint64_t seed) {
     const std::uint64_t elems = rng.in_range(64, 4096);
     const bool read_only = rng.uniform01() < 0.5;
     plain.push_back(nest.add_array(
-        {"A" + std::to_string(a), elem, elems, read_only}));
+        {std::string("A").append(std::to_string(a)), elem, elems, read_only}));
   }
   if (rng.uniform01() < 0.6) {
     const IndexPattern patterns[] = {IndexPattern::kIdentity, IndexPattern::kStrided,

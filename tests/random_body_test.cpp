@@ -57,15 +57,23 @@ std::string random_spec(std::uint64_t seed) {
   };
   const std::uint64_t ro_count = 1 + rng.below(3);
   const std::uint64_t rw_count = 1 + rng.below(3);
-  for (std::uint64_t i = 0; i < ro_count; ++i) declare("r" + std::to_string(i), true);
-  for (std::uint64_t i = 0; i < rw_count; ++i) declare("w" + std::to_string(i), false);
+  for (std::uint64_t i = 0; i < ro_count; ++i) {
+    declare(std::string("r").append(std::to_string(i)), true);
+  }
+  for (std::uint64_t i = 0; i < rw_count; ++i) {
+    declare(std::string("w").append(std::to_string(i)), false);
+  }
   static const char* kPatterns[] = {"random", "perm", "identity", "strided"};
   text += "index g " + std::to_string(1 + rng.below(300)) + " " +
           kPatterns[rng.below(4)] + " " + std::to_string(1 + rng.below(1000)) +
           "\n";
 
-  auto ro_name = [&] { return "r" + std::to_string(rng.below(ro_count)); };
-  auto rw_name = [&] { return "w" + std::to_string(rng.below(rw_count)); };
+  auto ro_name = [&] {
+    return std::string("r").append(std::to_string(rng.below(ro_count)));
+  };
+  auto rw_name = [&] {
+    return std::string("w").append(std::to_string(rng.below(rw_count)));
+  };
   std::vector<std::string> reads;
   const std::uint64_t read_count = 1 + rng.below(4);
   for (std::uint64_t i = 0; i < read_count; ++i) {

@@ -6,7 +6,12 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "casc/common/check.hpp"
@@ -250,6 +255,135 @@ TEST(Executor, DefaultThreadCountIsHardwareConcurrency) {
   CascadeExecutor ex;
   EXPECT_EQ(ex.num_threads(),
             std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// ---- run_tasks: fork-join on the pool ---------------------------------------
+
+class TaskThreads : public ::testing::TestWithParam<unsigned> {};
+
+/// 0 + 1 + ... + 99 as a cascade of 7-iteration chunks on `ex`.
+std::uint64_t cascade_sum(CascadeExecutor& ex) {
+  std::uint64_t sum = 0;
+  ex.run(100, 7, [&](std::uint64_t begin, std::uint64_t end) {
+    for (std::uint64_t i = begin; i < end; ++i) sum += i;
+  });
+  return sum;
+}
+
+TEST_P(TaskThreads, EveryIndexRunsExactlyOnce) {
+  const unsigned threads = GetParam();
+  CascadeExecutor ex(ExecutorConfig{threads, false});
+  for (const std::uint64_t n :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{threads - 1},
+        std::uint64_t{threads}, std::uint64_t{1000}}) {
+    std::vector<std::atomic<unsigned>> hits(n);
+    ex.run_tasks(n, [&](std::uint64_t i) { hits[i].fetch_add(1); });
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1u) << "n=" << n << " index " << i;
+    }
+  }
+}
+
+TEST_P(TaskThreads, OneTaskPerWorkerMeetAtABarrier) {
+  // Each task waits until all P have arrived: only a pool that runs P tasks
+  // at once gets every task past the barrier.  The timeout turns a serial
+  // hand-out into a failure instead of a hang.
+  const unsigned threads = GetParam();
+  CascadeExecutor ex(ExecutorConfig{threads, false});
+  std::atomic<unsigned> arrived{0};
+  std::atomic<unsigned> met{0};
+  ex.run_tasks(threads, [&](std::uint64_t) {
+    arrived.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (arrived.load() < threads && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (arrived.load() == threads) met.fetch_add(1);
+  });
+  EXPECT_EQ(met.load(), threads);
+}
+
+TEST_P(TaskThreads, TasksRunOnTheWorkersACascadeRunsOn) {
+  const unsigned threads = GetParam();
+  CascadeExecutor ex(ExecutorConfig{threads, false});
+  // Chunk c executes on worker c mod P, so 8P chunks visit every worker.
+  std::set<std::thread::id> workers;
+  ex.run(8 * threads, 1, [&](std::uint64_t, std::uint64_t) {
+    workers.insert(std::this_thread::get_id());
+  });
+  ASSERT_EQ(workers.size(), threads);
+  std::mutex mutex;
+  std::set<std::thread::id> task_threads;
+  ex.run_tasks(1000, [&](std::uint64_t) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    task_threads.insert(std::this_thread::get_id());
+  });
+  for (const std::thread::id id : task_threads) {
+    EXPECT_TRUE(workers.count(id)) << "a task ran outside the pool";
+  }
+}
+
+TEST_P(TaskThreads, ThrowingTaskRethrowsAndLeavesTheExecutorUsable) {
+  const unsigned threads = GetParam();
+  CascadeExecutor ex(ExecutorConfig{threads, false});
+  std::atomic<std::uint64_t> ran{0};
+  try {
+    ex.run_tasks(200, [&](std::uint64_t i) {
+      ran.fetch_add(1);
+      if (i == 37) throw std::runtime_error("task 37");
+    });
+    ADD_FAILURE() << "run_tasks did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 37");
+  }
+  EXPECT_GE(ran.load(), 38u) << "indices are handed out in order";
+
+  EXPECT_EQ(cascade_sum(ex), 4950u);
+  std::atomic<std::uint64_t> total{0};
+  ex.run_tasks(100, [&](std::uint64_t i) { total.fetch_add(i); });
+  EXPECT_EQ(total.load(), 4950u);
+}
+
+TEST_P(TaskThreads, LeavesTheLastCascadesStatsAlone) {
+  const unsigned threads = GetParam();
+  CascadeExecutor ex(ExecutorConfig{threads, false});
+  ex.run(1000, 64, [](std::uint64_t, std::uint64_t) {});
+  ex.run_tasks(50, [](std::uint64_t) {});
+  const auto& stats = ex.last_run_stats();
+  EXPECT_EQ(stats.num_chunks, 16u);
+  EXPECT_EQ(stats.chunks_executed, 16u);
+  EXPECT_EQ(stats.total_iters, 1000u);
+}
+
+TEST_P(TaskThreads, NestingEitherWayFailsLoudly) {
+  const unsigned threads = GetParam();
+  CascadeExecutor ex(ExecutorConfig{threads, false});
+  EXPECT_THROW(ex.run(100, 10,
+                      [&](std::uint64_t, std::uint64_t) {
+                        ex.run_tasks(1, [](std::uint64_t) {});
+                      }),
+               CheckFailure);
+  EXPECT_THROW(ex.run_tasks(4,
+                            [&](std::uint64_t) {
+                              ex.run(10, 5, [](std::uint64_t, std::uint64_t) {});
+                            }),
+               CheckFailure);
+  EXPECT_EQ(cascade_sum(ex), 4950u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, TaskThreads, ::testing::Values(1u, 2u, 4u));
+
+TEST(Executor, SingleWorkerRunsTasksInOrderOnTheCaller) {
+  CascadeExecutor ex(ExecutorConfig{1, false});
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::uint64_t> order;
+  ex.run_tasks(20, [&](std::uint64_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  std::vector<std::uint64_t> want(20);
+  std::iota(want.begin(), want.end(), std::uint64_t{0});
+  EXPECT_EQ(order, want);
 }
 
 TEST(Helpers, PrefetchSpanCompletesWithoutSignal) {

@@ -123,11 +123,11 @@ inline sim::MachineConfig mini_machine(unsigned procs = 4) {
 inline loopir::LoopNest make_stream_loop(std::uint64_t n, unsigned read_streams,
                                          loopir::LayoutPolicy layout,
                                          std::uint32_t compute = 4) {
-  loopir::LoopNest nest("stream" + std::to_string(read_streams));
+  loopir::LoopNest nest(std::string("stream").append(std::to_string(read_streams)));
   const loopir::ArrayId x = nest.add_array({"X", 8, n, false});
   for (unsigned s = 0; s < read_streams; ++s) {
     const loopir::ArrayId a =
-        nest.add_array({"A" + std::to_string(s), 8, n, true});
+        nest.add_array({std::string("A").append(std::to_string(s)), 8, n, true});
     nest.add_access({a, false, 1, 0, {}});
   }
   nest.add_access({x, true, 1, 0, {}});
