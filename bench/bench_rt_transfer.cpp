@@ -58,21 +58,17 @@ void BM_CrossThreadTransfer(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossThreadTransfer)->Arg(1)->Arg(2)->Arg(4);
 
-// Spin-vs-futex wait-tier ablation: the same empty-chunk cascade at 1x/2x/4x
-// oversubscription (threads = factor * cores), with the wait mode forced.
-// The benchmark arg is the oversubscription factor, so names (and therefore
-// baseline metric keys) are stable across hosts with different core counts.
-// tokens/s is the transfer rate the wait policy sustains; at 1x the two modes
-// should be near-identical (parking only engages after the spin/yield
-// budget), while oversubscribed the futex tier stops waiters from stealing
-// scheduler slices from the token holder.
-void transfer_with_mode(benchmark::State& state, casc::rt::WaitMode mode) {
+// The same empty-chunk cascade at 1x/2x/4x oversubscription (threads =
+// factor * cores) on the default config: at 1x the waiters spin, above it
+// the executor parks them in the futex tier, which stops them stealing
+// scheduler slices from the token holder.  The benchmark arg is the
+// oversubscription factor, so names (and therefore baseline metric keys)
+// are stable across hosts with different core counts.  tokens/s is the
+// transfer rate the executor sustains.
+void BM_TransferOversubscribed(benchmark::State& state) {
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   const unsigned threads = static_cast<unsigned>(state.range(0)) * cores;
-  ExecutorConfig config;
-  config.num_threads = threads;
-  config.wait_mode = mode;
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(ExecutorConfig{threads, false});
   constexpr std::uint64_t kChunks = 256;
   for (auto _ : state) {
     ex.run(kChunks, 1, [](std::uint64_t, std::uint64_t) {});
@@ -82,16 +78,7 @@ void transfer_with_mode(benchmark::State& state, casc::rt::WaitMode mode) {
       benchmark::Counter(static_cast<double>(state.iterations()) * kChunks,
                          benchmark::Counter::kIsRate);
 }
-
-void BM_TransferWaitSpin(benchmark::State& state) {
-  transfer_with_mode(state, casc::rt::WaitMode::kSpin);
-}
-BENCHMARK(BM_TransferWaitSpin)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_TransferWaitPark(benchmark::State& state) {
-  transfer_with_mode(state, casc::rt::WaitMode::kPark);
-}
-BENCHMARK(BM_TransferWaitPark)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_TransferOversubscribed)->Arg(1)->Arg(2)->Arg(4);
 
 // Forced-load prefetch sweep speed (helper-phase cache warming).
 void BM_PrefetchSpan(benchmark::State& state) {

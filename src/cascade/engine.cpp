@@ -200,15 +200,11 @@ CascadeResult CascadeSimulator::continue_cascaded(const core::Workload& workload
   return cascaded_impl(workload, opt);
 }
 
-bool CascadeSimulator::verify_enabled() const {
-  return verify_override_.value_or(common::verification_enabled());
-}
-
 CascadeResult CascadeSimulator::cascaded_impl(const core::Workload& workload,
                                               const CascadeOptions& requested) {
   CascadeOptions opt = requested;
   CascadeResult preflight_outcome;
-  if (opt.helper == HelperKind::kRestructure && verify_enabled()) {
+  if (opt.helper == HelperKind::kRestructure) {
     // Refuse to stage operands whose read-only claim the reference stream
     // contradicts: fall back to prefetch (always semantics-preserving) and
     // carry the evidence in the result.

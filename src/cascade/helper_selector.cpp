@@ -9,24 +9,6 @@ constexpr HelperKind kAllKinds[] = {HelperKind::kNone, HelperKind::kPrefetch,
                                     HelperKind::kRestructure};
 }
 
-HelperKind demote_helper(HelperKind kind) noexcept {
-  switch (kind) {
-    case HelperKind::kRestructure:
-      return HelperKind::kPrefetch;
-    case HelperKind::kPrefetch:
-    case HelperKind::kNone:
-      return HelperKind::kNone;
-  }
-  return HelperKind::kNone;
-}
-
-HelperChoice HelperChoice::demoted() const noexcept {
-  HelperChoice down = *this;
-  down.helper = demote_helper(helper);
-  down.speedup = down.speedup_by_kind[static_cast<int>(down.helper)];
-  return down;
-}
-
 HelperChoice select_helper(CascadeSimulator& sim, const core::Workload& workload,
                            CascadeOptions opt) {
   const SequentialResult seq = sim.run_sequential(workload, opt.start_state);

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "casc/cascade/buffer_model.hpp"
@@ -39,7 +38,11 @@ class CascadeSimulator {
   SequentialResult run_sequential(const core::Workload& workload,
                                   StartState start = StartState::kDistributed);
 
-  /// Cascaded execution per `opt`, on a fresh machine.
+  /// Cascaded execution per `opt`, on a fresh machine.  A restructure run
+  /// first checks the workload's read-only claims against its own reference
+  /// stream (analysis::verify_ref_stream) and, on any violation, demotes the
+  /// run to the prefetch helper — recording the evidence in
+  /// CascadeResult::preflight_diags instead of computing unsound speedups.
   CascadeResult run_cascaded(const loopir::LoopNest& nest, const CascadeOptions& opt);
   CascadeResult run_cascaded(const core::Workload& workload, const CascadeOptions& opt);
 
@@ -72,18 +75,6 @@ class CascadeSimulator {
   /// 4-byte indices for indirect accesses into read-write arrays).
   static std::uint64_t buffer_bytes_per_iteration(const loopir::LoopNest& nest);
 
-  /// Overrides the preflight verification default (the CASC_NO_VERIFY
-  /// environment variable).  When verification is on, run_cascaded() with the
-  /// restructure helper first checks the workload's read-only claims against
-  /// its own reference stream (analysis::verify_ref_stream) and, on any
-  /// violation, demotes the run to the prefetch helper — recording the
-  /// evidence in CascadeResult::preflight_diags instead of computing unsound
-  /// speedups.
-  void set_verify(bool on) { verify_override_ = on; }
-
-  /// Effective verification switch for this simulator.
-  [[nodiscard]] bool verify_enabled() const;
-
  private:
   /// Establishes the requested pre-loop cache state, then zeroes statistics.
   void apply_start_state(const core::Workload& workload, StartState start);
@@ -105,7 +96,6 @@ class CascadeSimulator {
 
   sim::MachineConfig config_;
   std::unique_ptr<sim::Machine> machine_;
-  std::optional<bool> verify_override_;
   // Scratch buffers reused across iterations to avoid per-iteration churn.
   mutable std::vector<loopir::Ref> scratch_orig_;
   mutable std::vector<sim::MemRef> scratch_refs_;

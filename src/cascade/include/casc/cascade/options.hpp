@@ -101,8 +101,7 @@ struct CascadeResult {
   std::vector<TimelineSpan> timeline;
   /// True when the preflight verifier refused the requested restructure
   /// helper (a staged operand is written by the loop) and the run fell back
-  /// to prefetch; `preflight_diags` carries the evidence.  Disable with
-  /// CASC_NO_VERIFY=1 or CascadeSimulator::set_verify(false).
+  /// to prefetch; `preflight_diags` carries the evidence.
   bool preflight_demoted = false;
   std::vector<common::Diagnostic> preflight_diags;
 

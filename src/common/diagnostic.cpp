@@ -1,6 +1,5 @@
 #include "casc/common/diagnostic.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 namespace casc::common {
@@ -77,12 +76,6 @@ std::string DiagnosticList::render_text() const {
     out += '\n';
   }
   return out;
-}
-
-bool verification_enabled() {
-  const char* env = std::getenv("CASC_NO_VERIFY");
-  if (env == nullptr || env[0] == '\0') return true;
-  return env[0] == '0' && env[1] == '\0';
 }
 
 }  // namespace casc::common

@@ -72,9 +72,4 @@ class DiagnosticList {
   std::size_t notes_ = 0;
 };
 
-/// True unless the CASC_NO_VERIFY environment variable is set to a non-empty,
-/// non-"0" value.  Gates every default-on preflight verification; reread on
-/// each call so tests (and operators) can flip it at runtime.
-[[nodiscard]] bool verification_enabled();
-
 }  // namespace casc::common

@@ -376,47 +376,21 @@ ExecResult cascaded_no_reset(MaterializedLoop& loop,
     return true;
   };
 
-  if (opt.soft_budget_factor > 0.0 && opt.estimated_seq_seconds > 0.0) {
-    const auto demote_ms = std::chrono::milliseconds(std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(opt.soft_budget_factor *
-                                     opt.estimated_seq_seconds * 1e3)));
-    executor.set_soft_budget(demote_ms, 2 * demote_ms);
-  }
-
-  // Chaos arming: wrap the run's helper in the planned fault schedule.  The
-  // owning HelperFn local keeps the armed wrapper alive across run().
-  const bool chaos_on = opt.chaos != nullptr && !opt.chaos->empty();
+  // Pick the run's helper once; without chaos it is passed by reference.  A
+  // chaos plan wraps it in the planned fault schedule — a no-op helper for
+  // kNone, so the faults still exercise the quarantine/backoff machinery —
+  // and the owning HelperFn local keeps the armed wrapper alive across run().
+  rt::HelperRef helper;
+  if (opt.helper == HelperMode::kPrefetch) helper = prefetch_helper;
+  if (opt.helper == HelperMode::kRestructure) helper = restructure_helper;
   rt::HelperFn armed;
+  if (opt.chaos != nullptr && !opt.chaos->empty()) {
+    armed = opt.chaos->arm(helper ? rt::HelperFn(helper) : rt::HelperFn{});
+    helper = armed;
+  }
 
   common::Stopwatch watch;
-  switch (opt.helper) {
-    case HelperMode::kNone:
-      if (chaos_on) {
-        // No helper to fault: install a no-op one so the planned faults
-        // still exercise the quarantine/backoff machinery.
-        armed = opt.chaos->arm(nullptr);
-        executor.run(total, ipc, exec, armed);
-      } else {
-        executor.run(total, ipc, exec);
-      }
-      break;
-    case HelperMode::kPrefetch:
-      if (chaos_on) {
-        armed = opt.chaos->arm(prefetch_helper);
-        executor.run(total, ipc, exec, armed);
-      } else {
-        executor.run(total, ipc, exec, prefetch_helper);
-      }
-      break;
-    case HelperMode::kRestructure:
-      if (chaos_on) {
-        armed = opt.chaos->arm(restructure_helper);
-        executor.run(total, ipc, exec, armed, gate);
-      } else {
-        executor.run(total, ipc, exec, restructure_helper, gate);
-      }
-      break;
-  }
+  executor.run(total, ipc, exec, helper, gate);
   result.seconds = watch.elapsed_seconds();
 
   const rt::RunStats& stats = executor.last_run_stats();

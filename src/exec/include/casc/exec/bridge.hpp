@@ -62,12 +62,6 @@ struct RtOptions {
   /// The fail-soft runtime must absorb all of them: the run completes with
   /// the sequential digest, degraded counters record the damage.
   const rt::ChaosPlan* chaos = nullptr;
-  /// Soft-budget demotion, derived from the sequential estimate: when both
-  /// are > 0 the executor demotes helpers after (soft_budget_factor x
-  /// estimated_seq_seconds) and goes fully sequential after twice that.
-  /// Persists on the executor until changed (see set_soft_budget()).
-  double soft_budget_factor = 0.0;
-  double estimated_seq_seconds = 0.0;
 };
 
 /// Outcome of one run (either backend-side entry point).

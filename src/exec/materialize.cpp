@@ -132,8 +132,7 @@ const RestructureProof& MaterializedLoop::restructure_proof(
   // A certificate that proves some ring certifies EVERY stage candidate (no
   // stale pairs, and P <= every flow distance), so the restaged set is the
   // same at every width and every geometry: restaging here, once, is exact.
-  // Rings the certificate does not cover refuse the gate and never stage
-  // (unless CASC_NO_VERIFY overrides the refusal, at the caller's risk).
+  // Rings the certificate does not cover refuse the gate and never stage.
   if (proof.certificate && proof.certificate->certifies_staging(1)) {
     restage(proof.certificate->certified_operands(1));
   }

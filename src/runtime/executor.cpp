@@ -26,6 +26,15 @@ void try_pin_to_cpu(unsigned cpu) {
 #endif
 }
 
+/// Helper faults a worker survives per run; the last one quarantines its
+/// helper for the rest of the run (it still executes its own chunks).
+constexpr std::uint32_t kMaxHelperFaults = 3;
+
+/// How long a token-awaiting worker lets the token sit on a chunk whose owner
+/// is stuck in a helper before reclaiming the chunk and executing it itself.
+/// Also the stall fault charged to the stuck owner.
+constexpr std::chrono::milliseconds kHelperStallGrace{25};
+
 /// Holds an executor's re-entrancy flag for one run() or run_tasks() call.
 struct ActiveGuard {
   std::atomic<bool>& flag;
@@ -35,10 +44,12 @@ struct ActiveGuard {
 }  // namespace
 
 CascadeExecutor::CascadeExecutor(ExecutorConfig config) {
-  cores_ = std::max(1u, std::thread::hardware_concurrency());
-  num_threads_ = config.num_threads != 0 ? config.num_threads : cores_;
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  num_threads_ = config.num_threads != 0 ? config.num_threads : cores;
+  // Oversubscribed workers sleep in the futex tier; threads <= cores keeps
+  // the pure spin/yield fast path.
+  token_.set_park_enabled(num_threads_ > cores);
   name_ = std::move(config.name);
-  wait_mode_ = config.wait_mode;
   log_ = config.event_log;
   watchdog_budget_ = config.watchdog;
   resilience_ = config.resilience;
@@ -155,7 +166,7 @@ void CascadeExecutor::record_helper_fault(unsigned worker, std::uint64_t chunk) 
   const std::uint32_t faults = h.faults.fetch_add(1, std::memory_order_relaxed) + 1;
   ctr_helper_faults_.fetch_add(1, std::memory_order_relaxed);
   note(worker, telemetry::EventKind::kHelperFault, chunk);
-  if (faults >= resilience_.max_helper_faults) {
+  if (faults >= kMaxHelperFaults) {
     // exchange, not store: racing reporters (the owner's own catch and a
     // rescuer's stall charge) must count the quarantine exactly once.
     if (h.state.exchange(kDetached, std::memory_order_relaxed) != kDetached) {
@@ -252,8 +263,7 @@ bool CascadeExecutor::maybe_rescue(unsigned id, std::uint64_t t,
     // Grace-based reclamation: the owner is visibly stuck inside a helper
     // (one that ignores jump-out — a cooperative helper would have returned
     // the moment the token arrived) past the stall grace window.
-    if (resilience_.helper_stall_grace.count() <= 0) return false;
-    if (now - stuck_since < resilience_.helper_stall_grace) return false;
+    if (now - stuck_since < kHelperStallGrace) return false;
     const auto owner_phase = worker_state_[owner].value.phase.load(std::memory_order_relaxed);
     if (owner_phase != static_cast<std::uint8_t>(WorkerPhase::kHelper)) return false;
     stall_fault = true;
@@ -334,7 +344,6 @@ CascadeExecutor::WorkerOutcome CascadeExecutor::participate(unsigned id,
   const unsigned P = num_threads_;
   WorkerState& ws = worker_state_[id].value;
   WorkerHealth& health = health_[id].value;
-  const bool fail_soft = resilience_.fail_soft;
   for (std::uint64_t c = id; c < job.num_chunks; c += P) {
     if (token_.aborted()) break;
     if (watchdog_enabled_ || budget_enabled_) {
@@ -366,23 +375,21 @@ CascadeExecutor::WorkerOutcome CascadeExecutor::participate(unsigned id,
     // phase begins at once and no helper is ever skipped or counted for it.
     if (job.helper && c != 0) {
       bool helper_enabled = true;
-      if (fail_soft) {
-        const std::uint8_t st = health.state.load(std::memory_order_relaxed);
-        if (st == kDetached ||
-            (budget_enabled_ && demotion_level_.load(std::memory_order_relaxed) >= 1)) {
-          helper_enabled = false;
-        } else if (st == kBackoff) {
-          const std::int64_t now_ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now().time_since_epoch())
-                  .count();
-          if (now_ns >= health.retry_at_ns.load(std::memory_order_relaxed)) {
-            health.state.store(kHealthy, std::memory_order_relaxed);
-            ctr_retries_.fetch_add(1, std::memory_order_relaxed);
-            note(id, telemetry::EventKind::kRetry, c);
-          } else {
-            helper_enabled = false;  // still backing off: skip this helper
-          }
+      const std::uint8_t st = health.state.load(std::memory_order_relaxed);
+      if (st == kDetached ||
+          (budget_enabled_ && demotion_level_.load(std::memory_order_relaxed) >= 1)) {
+        helper_enabled = false;
+      } else if (st == kBackoff) {
+        const std::int64_t now_ns =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now().time_since_epoch())
+                .count();
+        if (now_ns >= health.retry_at_ns.load(std::memory_order_relaxed)) {
+          health.state.store(kHealthy, std::memory_order_relaxed);
+          ctr_retries_.fetch_add(1, std::memory_order_relaxed);
+          note(id, telemetry::EventKind::kRetry, c);
+        } else {
+          helper_enabled = false;  // still backing off: skip this helper
         }
       }
       if (!helper_enabled) {
@@ -400,12 +407,6 @@ CascadeExecutor::WorkerOutcome CascadeExecutor::participate(unsigned id,
           try {
             completed = job.helper(begin, end, watch);
           } catch (...) {
-            if (!fail_soft) {
-              note(id, telemetry::EventKind::kAbort, c);
-              first_error_->capture(c);
-              token_.abort();
-              break;
-            }
             // Helpers are speculation: a throwing helper costs only its
             // speculation.  Charge the fault (backoff / quarantine) and carry
             // on — this chunk still executes below, on the fallback path.
@@ -440,7 +441,7 @@ CascadeExecutor::WorkerOutcome CascadeExecutor::participate(unsigned id,
     // the rest of its chunks run the fallback path.  Costs speed, never
     // correctness.
     exec_context_.staging_invalid =
-        fail_soft && static_cast<bool>(job.helper) &&
+        static_cast<bool>(job.helper) &&
         health.faults.load(std::memory_order_relaxed) != 0;
     if (exec_context_.staging_invalid) {
       ctr_invalidated_.fetch_add(1, std::memory_order_relaxed);
@@ -501,10 +502,6 @@ void CascadeExecutor::run(std::uint64_t total_iters, std::uint64_t iters_per_chu
   job.helper = helper;
 
   token_.reset();
-  // Parking is a per-run decision: oversubscribed workers sleep in the futex
-  // tier, threads <= cores keeps the pure spin/yield fast path.
-  token_.set_park_enabled(wait_mode_ == WaitMode::kPark ||
-                          (wait_mode_ == WaitMode::kAuto && num_threads_ > cores_));
   first_error_->reset();
   watchdog_fired_.store(false, std::memory_order_relaxed);
   watchdog_dump_ = CascadeStateDump{};
@@ -513,24 +510,22 @@ void CascadeExecutor::run(std::uint64_t total_iters, std::uint64_t iters_per_chu
     deadline_ = std::chrono::steady_clock::now() + watchdog_budget_;
   }
   // Fail-soft per-run state.  Rescue (claims + reclamation) is armed only
-  // when it can matter — fail_soft with multiple workers and chunks, and
-  // either helpers (which can fault/stall) or soft budgets (which detach
-  // workers) in play — so helperless and fail-stop runs keep the PR 1 hot
-  // path untouched.
-  budget_enabled_ = resilience_.fail_soft &&
-                    (resilience_.demote_helpers_after.count() > 0 ||
-                     resilience_.go_sequential_after.count() > 0);
-  rescue_enabled_ = resilience_.fail_soft && num_threads_ > 1 && job.num_chunks > 1 &&
+  // when it can matter — multiple workers and chunks, and either helpers
+  // (which can fault/stall) or soft budgets (which detach workers) in play —
+  // so helperless runs keep the plain hot path untouched.
+  budget_enabled_ =
+      demote_helpers_after_.count() > 0 || go_sequential_after_.count() > 0;
+  rescue_enabled_ = num_threads_ > 1 && job.num_chunks > 1 &&
                     (static_cast<bool>(helper) || budget_enabled_);
   demote_at_set_ = seq_at_set_ = false;
   if (budget_enabled_) {
     const auto now = std::chrono::steady_clock::now();
-    if (resilience_.demote_helpers_after.count() > 0) {
-      demote_at_ = now + resilience_.demote_helpers_after;
+    if (demote_helpers_after_.count() > 0) {
+      demote_at_ = now + demote_helpers_after_;
       demote_at_set_ = true;
     }
-    if (resilience_.go_sequential_after.count() > 0) {
-      seq_at_ = now + resilience_.go_sequential_after;
+    if (go_sequential_after_.count() > 0) {
+      seq_at_ = now + go_sequential_after_;
       seq_at_set_ = true;
     }
   }
@@ -660,7 +655,7 @@ void CascadeExecutor::run(std::uint64_t total_iters, std::uint64_t iters_per_chu
   // cascade degenerates to token hand-offs over the plain loop body, which is
   // always correct — and record the refusal so callers can see why their
   // helper never ran.
-  const bool refused = static_cast<bool>(helper) && !gate.allow_restructure();
+  const bool refused = static_cast<bool>(helper) && !gate.is_proven();
   run(total_iters, iters_per_chunk, exec, refused ? HelperRef{} : helper);
   if (refused) {
     stats_.preflight_refused = true;

@@ -16,18 +16,18 @@
 // describing the last cascade.  The exec bridge uses it to prove a chain's
 // stages side by side before the chain runs.
 //
-// Failure semantics (full fail-stop -> fail-soft matrix in docs/RUNTIME.md):
+// Failure semantics (full fault matrix in docs/RUNTIME.md):
 //   * Execution-phase faults are fail-stop: an exception escaping an ExecFn
 //     is a fault of the main line of control.  It poisons the token; every
 //     other worker unwinds promptly instead of spinning, and run() rethrows
 //     the first exception on the calling thread once the pool has quiesced.
 //     No std::terminate, no wedged pool: the executor is reusable for the
 //     next run().
-//   * Helper-phase faults are fail-soft by default (Resilience::fail_soft):
-//     helpers are purely speculative, so a helper that throws or stalls past
-//     Resilience::helper_stall_grace costs only its speculation.  The faulty
-//     worker's helper is backed off and retried (bounded, exponential), then
-//     quarantined; any chunk it fails to execute in time is reclaimed and
+//   * Helper-phase faults are always absorbed: helpers are purely
+//     speculative, so a helper that throws, or stalls its chunk past a 25 ms
+//     grace, costs only its speculation.  The faulty worker's helper is
+//     backed off and retried (bounded, exponential), and quarantined at its
+//     third fault; any chunk it fails to execute in time is reclaimed and
 //     executed in-place by whichever worker is awaiting the token, on the
 //     unstaged fallback path, preserving bit-identity.  The run completes
 //     with RunStats::degraded() true instead of throwing.
@@ -35,9 +35,8 @@
 //     bounds how long run() will let the cascade make no progress; on expiry
 //     the cascade is aborted, a CascadeStateDump is captured, and run()
 //     throws WatchdogExpired carrying that dump.  Soft budgets
-//     (Resilience::demote_helpers_after / go_sequential_after) act earlier:
-//     they demote the run to fewer helpers or pure sequential instead of
-//     killing it.
+//     (set_soft_budget()) act earlier: they demote the run to fewer helpers
+//     or pure sequential instead of killing it.
 //   * After a failed run, last_run_stats() is still valid and records the
 //     abort (aborted / chunks_executed / first_failed_chunk).
 #pragma once
@@ -87,41 +86,12 @@ using HelperRef = FunctionRef<bool(std::uint64_t, std::uint64_t, const TokenWatc
 /// One independent task of a run_tasks() job, called with its index.
 using TaskRef = FunctionRef<void(std::uint64_t)>;
 
-/// How workers wait for the token (see token.hpp for the tier mechanics).
-enum class WaitMode : std::uint8_t {
-  /// Park when num_threads exceeds hardware_concurrency, pure spin/yield
-  /// otherwise — the right choice unless you are benchmarking the tiers.
-  kAuto,
-  /// Never park: the pre-parking spin/yield loop.  Lowest hand-off latency
-  /// when every worker owns a core; actively harmful oversubscribed.
-  kSpin,
-  /// Always fall through to the futex tier after the spin/yield budget.
-  kPark,
-};
-
-/// Fail-soft policy: how the executor degrades instead of aborting when
-/// helpers misbehave.  Execution-phase faults are always fail-stop — the
+/// Helper-fault pacing.  Execution-phase faults are always fail-stop — the
 /// exec phase IS the computation, so its exceptions must reach the caller.
 struct Resilience {
-  /// Master switch.  When false every fault path reverts to PR 1's fail-stop
-  /// protocol: any worker exception aborts the cascade and rethrows.
-  bool fail_soft = true;
-  /// Helper faults tolerated per worker before its helper is permanently
-  /// quarantined for the rest of the run (it still executes its own chunks).
-  unsigned max_helper_faults = 3;
-  /// How long a token-awaiting worker lets the token sit on a chunk whose
-  /// owner is stuck in a helper before reclaiming the chunk and executing it
-  /// itself.  Also the stall fault charged to the stuck owner.
-  std::chrono::milliseconds helper_stall_grace{25};
   /// Base backoff after a helper fault; doubles per consecutive fault
   /// (capped), so transient faults retry quickly and repeat offenders wait.
   std::chrono::milliseconds retry_backoff{1};
-  /// Soft wall-clock budgets (0 = disabled): once a run has been in flight
-  /// this long it is demoted live to level 1 (no helpers) respectively
-  /// level 2 (pure sequential on the calling thread).  Callers derive these
-  /// from the analytic model's sequential estimate (see set_soft_budget()).
-  std::chrono::milliseconds demote_helpers_after{0};
-  std::chrono::milliseconds go_sequential_after{0};
 };
 
 /// What the in-flight execution phase needs to know about how it got the
@@ -163,11 +133,7 @@ struct ExecutorConfig {
   /// the instrumentation into a single never-taken branch on the hot path.
   /// The events also surface in snapshot()/render() failure dumps.
   telemetry::EventLog* event_log = nullptr;
-  /// Token wait policy.  kAuto parks oversubscribed workers in the futex
-  /// tier (threads > cores) and keeps the threads <= cores fast path
-  /// pure-spin; kSpin/kPark force one behaviour for ablations.
-  WaitMode wait_mode = WaitMode::kAuto;
-  /// Fail-soft degradation policy (see struct Resilience above).
+  /// Helper-fault backoff (see struct Resilience above).
   Resilience resilience{};
 };
 
@@ -251,8 +217,7 @@ class CascadeExecutor {
   /// refusal) from casc::analysis (analyze or verify_ref_stream).  On a
   /// refusal the helper is dropped — the cascade still runs, execution-phase
   /// results are identical, and the refusal is recorded in last_run_stats()
-  /// (preflight_refused / preflight_diag).  CASC_NO_VERIFY=1 overrides a
-  /// refusal at the caller's risk.
+  /// (preflight_refused / preflight_diag).
   void run(std::uint64_t total_iters, std::uint64_t iters_per_chunk, ExecRef exec,
            HelperRef helper, const PreflightGate& gate);
 
@@ -278,12 +243,13 @@ class CascadeExecutor {
   /// Sets the soft wall-clock budgets for subsequent runs (persists until
   /// changed): demote to no-helpers after `demote_helpers_after`, to pure
   /// sequential after `go_sequential_after` (0 disables either rung).
-  /// Callers typically derive these from the analytic model's sequential
-  /// estimate — the runtime itself stays analysis-free.
+  /// Callers derive these from the loop's sequential time (cascsim --chaos
+  /// and cascsoak: 8x the measured reference, and twice that) — the runtime
+  /// itself stays analysis-free.
   void set_soft_budget(std::chrono::milliseconds demote_helpers_after,
                        std::chrono::milliseconds go_sequential_after) noexcept {
-    resilience_.demote_helpers_after = demote_helpers_after;
-    resilience_.go_sequential_after = go_sequential_after;
+    demote_helpers_after_ = demote_helpers_after;
+    go_sequential_after_ = go_sequential_after;
   }
 
   /// Context of the execution phase in flight on the calling thread.  Valid
@@ -387,9 +353,7 @@ class CascadeExecutor {
   void fire_watchdog();
 
   unsigned num_threads_;
-  unsigned cores_ = 1;  ///< hardware_concurrency, cached at construction
-  std::string name_;    ///< ExecutorConfig::name
-  WaitMode wait_mode_ = WaitMode::kAuto;
+  std::string name_;  ///< ExecutorConfig::name
   telemetry::EventLog* log_ = nullptr;  ///< ExecutorConfig::event_log
   std::vector<std::thread> pool_;
 
@@ -424,6 +388,9 @@ class CascadeExecutor {
   // Fail-soft state.  The per-run flags are set once in run() before workers
   // start and read-only during the run.
   Resilience resilience_;
+  // Soft budgets (0 disables a rung), set by set_soft_budget().
+  std::chrono::milliseconds demote_helpers_after_{0};
+  std::chrono::milliseconds go_sequential_after_{0};
   bool rescue_enabled_ = false;  ///< claims + reclamation active this run
   bool budget_enabled_ = false;  ///< soft demotion budgets active this run
   bool demote_at_set_ = false;

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "casc/common/align.hpp"
-#include "casc/rt/executor.hpp"
 #include "casc/rt/token.hpp"
 
 namespace casc::rt {
@@ -33,18 +32,6 @@ bool prefetch_span(const T* data, std::uint64_t begin, std::uint64_t end,
     force_load(bytes + line * common::kCacheLineSize);
   }
   return true;
-}
-
-/// Convenience: cascades a per-iteration body over [0, n).
-template <typename Body>
-void cascaded_for(CascadeExecutor& executor, std::uint64_t n,
-                  std::uint64_t iters_per_chunk, Body&& body, HelperRef helper = nullptr) {
-  executor.run(
-      n, iters_per_chunk,
-      [&body](std::uint64_t begin, std::uint64_t end) {
-        for (std::uint64_t i = begin; i < end; ++i) body(i);
-      },
-      helper);
 }
 
 }  // namespace casc::rt

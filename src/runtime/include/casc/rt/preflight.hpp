@@ -12,9 +12,8 @@
 //                      it, so the run has no helper phase at all (not even a
 //                      prefetch), and the refusal is recorded in the run's
 //                      stats — execution-phase results are identical either
-//                      way, just slower;
-//   * CASC_NO_VERIFY=1 in the environment overrides any refusal (escape
-//     hatch for experiments; the helper runs and no refusal is recorded).
+//                      way, just slower.
+// The proof alone decides: nothing overrides a refusal.
 #pragma once
 
 #include <string>
@@ -41,18 +40,7 @@ class PreflightGate {
     return gate;
   }
 
-  /// Convenience: proven() when `safe`, refused(reason) otherwise.
-  [[nodiscard]] static PreflightGate from_verdict(bool safe,
-                                                  common::Diagnostic reason) {
-    return safe ? proven() : refused(std::move(reason));
-  }
-
-  /// True when the helper may stage values: proven, or verification globally
-  /// disabled via CASC_NO_VERIFY (checked at call time).
-  [[nodiscard]] bool allow_restructure() const {
-    return proven_ || !common::verification_enabled();
-  }
-
+  /// True when the helper may stage values.
   [[nodiscard]] bool is_proven() const noexcept { return proven_; }
   [[nodiscard]] const common::Diagnostic& reason() const noexcept { return reason_; }
 

@@ -797,10 +797,11 @@ TEST(ExecBridgeChaos, SoftBudgetDemotionKeepsResultsIdentical) {
   rt::ExecutorConfig cfg;
   cfg.num_threads = 4;
   rt::CascadeExecutor executor(cfg);
+  // 1 ms to helpers-off, 2 ms to sequential: demotes almost at once.
+  executor.set_soft_budget(std::chrono::milliseconds(1),
+                           std::chrono::milliseconds(2));
   exec::RtOptions opt;
   opt.helper = exec::HelperMode::kRestructure;
-  opt.soft_budget_factor = 1.0;
-  opt.estimated_seq_seconds = 1e-6;  // ~1us budget: demotes almost at once
   const exec::ExecResult got = exec::run_cascaded(loop, executor, opt);
   EXPECT_EQ(got.digest, ref.digest);
   EXPECT_EQ(got.rw_checksum, ref.rw_checksum);

@@ -43,6 +43,22 @@ casc::rt::HelperFn throw_for_worker(unsigned worker, unsigned num_threads) {
   };
 }
 
+/// A pool whose faulted helpers retry at once, so a helper that keeps
+/// throwing reaches the executor's fault cap (3) and is quarantined.
+ExecutorConfig instant_retry(unsigned num_threads) {
+  ExecutorConfig config{num_threads, false};
+  config.resilience.retry_backoff = std::chrono::milliseconds(0);
+  return config;
+}
+
+/// Sets out[i] = i + 1 after a 1 ms pause, which lets every helper start
+/// before its chunk's token arrives, so a poisoned helper faults on each of
+/// its chunks until the cap quarantines it.
+void slow_fill(std::vector<std::uint64_t>& out, std::uint64_t b, std::uint64_t e) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
+}
+
 void expect_complete_and_correct(CascadeExecutor& ex,
                                  const std::vector<std::uint64_t>& out) {
   const RunStats& stats = ex.last_run_stats();
@@ -53,15 +69,11 @@ void expect_complete_and_correct(CascadeExecutor& ex,
 }
 
 TEST(Quarantine, RepeatOffenderIsQuarantinedAndItsChunksReclaimed) {
-  ExecutorConfig config{2, false};
-  config.resilience.max_helper_faults = 1;  // first strike quarantines
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(instant_retry(2));
   std::vector<std::uint64_t> out(kIters, 0);
   ex.run(
       kIters, kChunkIters,
-      [&](std::uint64_t b, std::uint64_t e) {
-        for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
-      },
+      [&](std::uint64_t b, std::uint64_t e) { slow_fill(out, b, e); },
       throw_for_worker(1, 2));
   expect_complete_and_correct(ex, out);
   const RunStats& stats = ex.last_run_stats();
@@ -84,15 +96,11 @@ TEST(Quarantine, RepeatOffenderIsQuarantinedAndItsChunksReclaimed) {
 TEST(Quarantine, Worker0QuarantineOnlyDisablesItsHelper) {
   // Worker 0 is the cascade's completion guarantee and never leaves it: its
   // quarantine disables its helper, nothing else.
-  ExecutorConfig config{2, false};
-  config.resilience.max_helper_faults = 1;
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(instant_retry(2));
   std::vector<std::uint64_t> out(kIters, 0);
   ex.run(
       kIters, kChunkIters,
-      [&](std::uint64_t b, std::uint64_t e) {
-        for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
-      },
+      [&](std::uint64_t b, std::uint64_t e) { slow_fill(out, b, e); },
       throw_for_worker(0, 2));
   expect_complete_and_correct(ex, out);
   const RunStats& stats = ex.last_run_stats();
@@ -104,9 +112,7 @@ TEST(Quarantine, Worker0QuarantineOnlyDisablesItsHelper) {
 TEST(Quarantine, SingleThreadHelperFaultIsStillAbsorbed) {
   // P == 1: worker 0 is the whole cascade.  Its helper faulting must not
   // abort anything — the helper is disabled, execution continues in-line.
-  ExecutorConfig config{1, false};
-  config.resilience.max_helper_faults = 1;
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(instant_retry(1));
   std::vector<std::uint64_t> out(kIters, 0);
   ex.run(
       kIters, kChunkIters,
@@ -118,10 +124,7 @@ TEST(Quarantine, SingleThreadHelperFaultIsStillAbsorbed) {
 }
 
 TEST(Retry, FaultedHelperIsRetriedAfterBackoff) {
-  ExecutorConfig config{2, false};
-  config.resilience.max_helper_faults = 10;
-  config.resilience.retry_backoff = std::chrono::milliseconds(0);  // instant
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(instant_retry(2));
   std::atomic<bool> armed{true};
   std::vector<std::uint64_t> out(kIters, 0);
   ex.run(
@@ -173,9 +176,7 @@ TEST(Demotion, SoftBudgetDemotesAndStillCompletes) {
 }
 
 TEST(ExecContext, ReclaimedAndDistrustedChunksAreFlagged) {
-  ExecutorConfig config{2, false};
-  config.resilience.max_helper_faults = 1;
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(instant_retry(2));
   std::vector<char> reclaimed(kChunks, 0);
   std::vector<char> distrusted(kChunks, 0);
   std::vector<std::uint64_t> out(kIters, 0);
@@ -186,7 +187,7 @@ TEST(ExecContext, ReclaimedAndDistrustedChunksAreFlagged) {
         const std::uint64_t c = b / kChunkIters;
         reclaimed[c] = ctx.reclaimed ? 1 : 0;
         distrusted[c] = ctx.staging_invalid ? 1 : 0;
-        for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
+        slow_fill(out, b, e);
       },
       throw_for_worker(1, 2));
   expect_complete_and_correct(ex, out);
@@ -204,15 +205,11 @@ TEST(ExecContext, ReclaimedAndDistrustedChunksAreFlagged) {
 }
 
 TEST(StateDumpDegradation, SnapshotAndRenderCarryDegradationCounters) {
-  ExecutorConfig config{2, false};
-  config.resilience.max_helper_faults = 1;
-  CascadeExecutor ex(config);
+  CascadeExecutor ex(instant_retry(2));
   std::vector<std::uint64_t> out(kIters, 0);
   ex.run(
       kIters, kChunkIters,
-      [&](std::uint64_t b, std::uint64_t e) {
-        for (std::uint64_t i = b; i < e; ++i) out[i] = i + 1;
-      },
+      [&](std::uint64_t b, std::uint64_t e) { slow_fill(out, b, e); },
       throw_for_worker(1, 2));
   expect_complete_and_correct(ex, out);
   const CascadeStateDump dump = ex.snapshot();

@@ -2,13 +2,12 @@
 // fail-stop: an exception or stall in the main line of control must abort
 // the cascade, propagate to the calling thread, and leave the executor
 // reusable — never std::terminate, never a wedged pool.  Helper-phase faults
-// are fail-soft by default: absorbed via backoff/quarantine/reclamation with
-// the run completing normally (Resilience::fail_soft = false restores the
-// legacy fail-stop helper contract, tested here too).  All tests must pass
-// on any core count (including a single-core host), so they assert protocol
-// outcomes, not wall-clock timing.
+// are always absorbed via backoff/quarantine/reclamation with the run
+// completing normally.  All tests must pass on any core count (including a
+// single-core host), so they assert protocol outcomes, not wall-clock timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -17,7 +16,6 @@
 #include "casc/common/check.hpp"
 #include "casc/rt/executor.hpp"
 #include "casc/rt/fault_injection.hpp"
-#include "casc/rt/helpers.hpp"
 #include "casc/rt/state_dump.hpp"
 #include "casc/rt/token.hpp"
 #include "casc/telemetry/event_log.hpp"
@@ -33,7 +31,6 @@ using casc::rt::InjectedFault;
 using casc::rt::RunStats;
 using casc::rt::Token;
 using casc::rt::TokenWatch;
-using casc::rt::WaitMode;
 using casc::rt::WatchdogExpired;
 using casc::rt::WorkerPhase;
 
@@ -131,36 +128,6 @@ TEST_P(FaultThreads, HelperThrowIsAbsorbedFailSoft) {
   expect_successful_run(ex);
 }
 
-TEST_P(FaultThreads, HelperThrowRethrownOnCallingThreadLegacy) {
-  // fail_soft = false restores the historical fail-stop helper contract.
-  ExecutorConfig config{GetParam(), false};
-  config.resilience.fail_soft = false;
-  CascadeExecutor ex(config);
-  // Helpers for early chunks may be skipped (token already arrived), in
-  // which case the fault never fires and the run succeeds — also fine.  Use
-  // a late chunk so on multi-thread runs the helper reliably starts early.
-  const std::uint64_t failing = kChunks - 1;
-  const FaultPlan plan = FaultPlan::throw_in_helper(failing, kChunkIters);
-  bool threw = false;
-  try {
-    ex.run(
-        kIters, kChunkIters, [](std::uint64_t, std::uint64_t) {},
-        plan.arm([](std::uint64_t, std::uint64_t, const TokenWatch&) { return true; }));
-  } catch (const InjectedFault& e) {
-    threw = true;
-    EXPECT_EQ(e.chunk(), failing);
-    EXPECT_TRUE(ex.last_run_stats().aborted);
-    EXPECT_EQ(ex.last_run_stats().first_failed_chunk, failing);
-  }
-  if (!threw) {
-    // The helper was skipped everywhere it could have fired; the run must
-    // then have completed normally.
-    EXPECT_FALSE(ex.last_run_stats().aborted);
-    EXPECT_EQ(ex.last_run_stats().chunks_executed, kChunks);
-  }
-  expect_successful_run(ex);
-}
-
 TEST_P(FaultThreads, ArbitraryExceptionTypesPropagate) {
   CascadeExecutor ex(ExecutorConfig{GetParam(), false});
   EXPECT_THROW(ex.run(kIters, kChunkIters,
@@ -232,35 +199,10 @@ TEST(Watchdog, SingleThreadStallIsStillCaught) {
   expect_successful_run(ex);
 }
 
-TEST(Watchdog, StalledHelperIgnoringJumpOutIsCaught) {
-  ExecutorConfig config{2, false};
-  config.watchdog = std::chrono::milliseconds(80);
-  // Legacy fail-stop helpers: with fail-soft on, the stalled chunk would be
-  // reclaimed and the watchdog would (correctly) never fire.
-  config.resilience.fail_soft = false;
-  CascadeExecutor ex(config);
-  // A helper that ignores jump-out wedges its own chunk's execution phase
-  // (helper and exec share a thread): the token chain stops in front of it.
-  const FaultPlan plan = FaultPlan::stall_in_helper(
-      1, kChunkIters, std::chrono::milliseconds(400), /*honor_jump_out=*/false);
-  try {
-    ex.run(
-        kIters, kChunkIters, [](std::uint64_t, std::uint64_t) {},
-        plan.arm(
-            [](std::uint64_t, std::uint64_t, const TokenWatch&) { return true; }));
-    // On some interleavings the stalling helper is skipped (token already
-    // arrived); then the run legitimately completes.
-    EXPECT_FALSE(ex.last_run_stats().aborted);
-  } catch (const WatchdogExpired&) {
-    EXPECT_TRUE(ex.last_run_stats().aborted);
-  }
-  expect_successful_run(ex);
-}
-
 TEST(Watchdog, StalledHelperIsRescuedFailSoft) {
-  // The fail-soft counterpart: the same ignore-jump-out stall, but the
-  // runtime reclaims the wedged chunk after the stall grace instead of
-  // letting the watchdog kill the run.
+  // A helper that ignores jump-out wedges its own chunk's execution phase
+  // (helper and exec share a thread); the runtime reclaims the wedged chunk
+  // after the stall grace instead of letting the watchdog kill the run.
   ExecutorConfig config{2, false};
   config.watchdog = std::chrono::milliseconds(5000);
   CascadeExecutor ex(config);
@@ -280,41 +222,12 @@ TEST(Watchdog, StalledHelperIsRescuedFailSoft) {
   expect_successful_run(ex);
 }
 
-TEST(Watchdog, ParkedStallInHelperStillProducesDump) {
-  // Futex-parked waiters must not blind the watchdog: a stalled fail-stop
-  // helper under WaitMode::kPark still expires the deadline, and the dump
-  // captured at expiry covers every worker (including the parked ones).
-  ExecutorConfig config{4, false};
-  config.watchdog = std::chrono::milliseconds(80);
-  config.wait_mode = WaitMode::kPark;
-  config.resilience.fail_soft = false;
-  CascadeExecutor ex(config);
-  const FaultPlan plan = FaultPlan::stall_in_helper(
-      2, kChunkIters, std::chrono::milliseconds(400), /*honor_jump_out=*/false);
-  try {
-    ex.run(
-        kIters, kChunkIters, [](std::uint64_t, std::uint64_t) {},
-        plan.arm(
-            [](std::uint64_t, std::uint64_t, const TokenWatch&) { return true; }));
-    // On some interleavings the stalling helper is skipped (token already
-    // arrived); then the run legitimately completes.
-    EXPECT_FALSE(ex.last_run_stats().aborted);
-  } catch (const WatchdogExpired& e) {
-    const CascadeStateDump& dump = e.dump();
-    EXPECT_TRUE(dump.watchdog_expired);
-    EXPECT_EQ(dump.workers.size(), 4u);
-    EXPECT_LT(dump.token, kChunks);
-    EXPECT_TRUE(ex.last_run_stats().aborted);
-  }
-  expect_successful_run(ex);
-}
-
 TEST(Watchdog, ParkedStallInHelperIsRescuedFailSoft) {
-  // Same parked setup with fail-soft on: the wedged chunk is reclaimed and
-  // the cascade completes without the watchdog firing.
-  ExecutorConfig config{4, false};
+  // The same stall with the waiters parked (twice as many workers as cores,
+  // so the executor parks them): the wedged chunk is reclaimed and the
+  // cascade completes without the watchdog firing.
+  ExecutorConfig config{2 * std::max(1u, std::thread::hardware_concurrency()), false};
   config.watchdog = std::chrono::milliseconds(5000);
-  config.wait_mode = WaitMode::kPark;
   CascadeExecutor ex(config);
   const FaultPlan plan = FaultPlan::stall_in_helper(
       2, kChunkIters, std::chrono::milliseconds(150), /*honor_jump_out=*/false);

@@ -28,7 +28,6 @@ TEST(HelperSelector, PicksRestructureForConflictingStreams) {
   const HelperChoice choice = select_helper(sim, nest, opt);
   EXPECT_EQ(choice.helper, HelperKind::kRestructure);
   EXPECT_GT(choice.speedup, 1.0);
-  EXPECT_FALSE(choice.prefer_sequential());
 }
 
 TEST(HelperSelector, ReportsAllThreeSpeedups) {
@@ -61,7 +60,8 @@ TEST(HelperSelector, FlagsSequentialPreferenceForTinyLoops) {
   CascadeOptions opt;
   opt.chunk_bytes = 64;  // many chunks
   const HelperChoice choice = select_helper(sim, nest, opt);
-  EXPECT_TRUE(choice.prefer_sequential()) << "speedup " << choice.speedup;
+  // Even the best cascaded configuration loses to sequential execution.
+  EXPECT_LT(choice.speedup, 1.0);
 }
 
 TEST(HelperSelector, ChunkSweepPicksJointOptimum) {
@@ -86,33 +86,6 @@ TEST(HelperSelector, RejectsBadSweepRange) {
   CascadeOptions opt;
   EXPECT_THROW(select_helper_and_chunk(sim, nest, opt, 0, 1024), CheckFailure);
   EXPECT_THROW(select_helper_and_chunk(sim, nest, opt, 4096, 1024), CheckFailure);
-}
-
-TEST(DemotionLadder, WalksRestructureToPrefetchToNone) {
-  using casc::cascade::demote_helper;
-  EXPECT_EQ(demote_helper(HelperKind::kRestructure), HelperKind::kPrefetch);
-  EXPECT_EQ(demote_helper(HelperKind::kPrefetch), HelperKind::kNone);
-  // None is terminal: demoting it is idempotent, never UB or a wraparound.
-  EXPECT_EQ(demote_helper(HelperKind::kNone), HelperKind::kNone);
-}
-
-TEST(DemotionLadder, DemotedChoiceReReadsTheMeasuredSpeedup) {
-  const auto nest = make_stream_loop(2048, 6, LayoutPolicy::kConflicting);
-  CascadeSimulator sim(mini_machine(4));
-  CascadeOptions opt;
-  opt.chunk_bytes = 4 * 1024;
-  const HelperChoice choice = select_helper(sim, nest, opt);
-  ASSERT_EQ(choice.helper, HelperKind::kRestructure);
-  const HelperChoice down = choice.demoted();
-  EXPECT_EQ(down.helper, HelperKind::kPrefetch);
-  // The demoted speedup is the one the trial actually measured for
-  // prefetch, not the winner's.
-  EXPECT_EQ(down.speedup,
-            choice.speedup_by_kind[static_cast<int>(HelperKind::kPrefetch)]);
-  const HelperChoice floor = down.demoted().demoted();
-  EXPECT_EQ(floor.helper, HelperKind::kNone);
-  EXPECT_EQ(floor.speedup,
-            choice.speedup_by_kind[static_cast<int>(HelperKind::kNone)]);
 }
 
 }  // namespace

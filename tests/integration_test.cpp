@@ -10,7 +10,6 @@
 #include "casc/common/stats.hpp"
 #include "casc/report/table.hpp"
 #include "casc/rt/executor.hpp"
-#include "casc/rt/helpers.hpp"
 #include "casc/synth/synthetic_loop.hpp"
 #include "casc/wave5/parmvr.hpp"
 

@@ -65,7 +65,9 @@ TEST_P(ExecutorThreads, ProducesSequentialResult) {
   const std::uint64_t n = 10000;
   std::vector<std::uint64_t> out(n, 0);
   // body: out[i] = i^2; any reordering or lost iteration corrupts the sum.
-  casc::rt::cascaded_for(ex, n, 128, [&](std::uint64_t i) { out[i] = i * i; });
+  ex.run(n, 128, [&](std::uint64_t b, std::uint64_t e) {
+    for (std::uint64_t i = b; i < e; ++i) out[i] = i * i;
+  });
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(out[i], i * i) << "iteration " << i;
 }
 
@@ -76,8 +78,9 @@ TEST_P(ExecutorThreads, LoopCarriedDependencePreserved) {
   CascadeExecutor ex(ExecutorConfig{threads, false});
   const std::uint64_t n = 5000;
   std::vector<std::uint64_t> acc(n + 1, 0);
-  casc::rt::cascaded_for(ex, n, 64,
-                         [&](std::uint64_t i) { acc[i + 1] = acc[i] + 1; });
+  ex.run(n, 64, [&](std::uint64_t b, std::uint64_t e) {
+    for (std::uint64_t i = b; i < e; ++i) acc[i + 1] = acc[i] + 1;
+  });
   EXPECT_EQ(acc[n], n);
 }
 
@@ -180,7 +183,9 @@ TEST(Executor, ReusableAcrossRuns) {
   CascadeExecutor ex(ExecutorConfig{3, false});
   for (int round = 0; round < 5; ++round) {
     std::uint64_t sum = 0;
-    casc::rt::cascaded_for(ex, 100, 7, [&](std::uint64_t i) { sum += i; });
+    ex.run(100, 7, [&](std::uint64_t b, std::uint64_t e) {
+      for (std::uint64_t i = b; i < e; ++i) sum += i;
+    });
     EXPECT_EQ(sum, 4950u) << "round " << round;
   }
 }

@@ -12,6 +12,8 @@
 //   cascsim --machine=future:8 --loop=synth:sparse --unbounded --sweep=1K:256K --plot
 //   cascsim --loop=file:myloop.casc --helper=auto --threecs
 //   cascsim --backend=rt --loop=file:a.casc,b.casc --threads=4
+#include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -490,15 +492,17 @@ int run_backend_rt(const cli::Args& args) {
     if (chaos_on) {
       // Derive the plan from the run's actual chunk geometry, vary the seed
       // per loop, and soft-budget the run off the measured reference time so
-      // a chaos pile-up demotes instead of wedging.
+      // a chaos pile-up demotes instead of wedging: helpers off after 8x the
+      // reference time, sequential after twice that.
       std::uint64_t ipc = rt_opt.iters_per_chunk;
       if (ipc == 0) ipc = exec::plan_for(loop_mat, rt_opt.chunk_bytes).iters_per_chunk();
       const std::uint64_t total = loop_mat.num_iterations();
       const std::uint64_t num_chunks = total == 0 ? 0 : (total + ipc - 1) / ipc;
       chaos_plan = rt::ChaosPlan::make(chaos_seed + loop_index, num_chunks, ipc);
       rt_opt.chaos = &chaos_plan;
-      rt_opt.soft_budget_factor = 8.0;
-      rt_opt.estimated_seq_seconds = ref.seconds;
+      const auto demote = std::chrono::milliseconds(std::max<std::int64_t>(
+          1, static_cast<std::int64_t>(8.0 * ref.seconds * 1e3)));
+      executor.set_soft_budget(demote, 2 * demote);
     }
     ++loop_index;
     const exec::ExecResult rt_result = exec::run_cascaded(loop_mat, executor, rt_opt);

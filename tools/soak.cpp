@@ -195,8 +195,10 @@ int run_soak(const cli::Args& args) {
                       : run % 4 == 1 ? exec::HelperMode::kPrefetch
                                      : exec::HelperMode::kRestructure;
       rt_opt.chaos = &plan;
-      rt_opt.soft_budget_factor = 8.0;
-      rt_opt.estimated_seq_seconds = want.seconds;
+      // Helpers off after 8x the reference time, sequential after twice that.
+      const auto demote = std::chrono::milliseconds(std::max<std::int64_t>(
+          1, static_cast<std::int64_t>(8.0 * want.seconds * 1e3)));
+      executor.set_soft_budget(demote, 2 * demote);
       exec::MaterializedLoop& target = gather ? gather_loop : loop;
       if (rt_opt.helper == exec::HelperMode::kRestructure) {
         const exec::StagingRegion region = target.staging_region();
